@@ -77,26 +77,21 @@ let insert t txn a =
 
 let historical = function Relstore.Snapshot.As_of _ -> true | _ -> false
 
+(* Historical snapshots scan (including the archive, via Heap.scan) so
+   vacuumed versions stay reachable.  A current snapshot sees at most one
+   version of a file's attributes, so the probe stops at the newest
+   visible one. *)
 let find_record t snap ~file =
   if historical snap then begin
     let hit = ref None in
-    H.scan t.heap snap (fun r -> if r.oid = file then hit := Some r);
+    H.scan ~oid:file t.heap snap (fun r -> hit := Some r);
     !hit
   end
-  else begin
-    let hit = ref None in
-    (try
-       List.iter
-         (fun v ->
-           match H.fetch t.heap snap (Relstore.Tid.decode v) with
-           | Some r when r.oid = file ->
-             hit := Some r;
-             raise Exit
-           | Some _ | None -> ())
-         (Index.Btree.lookup t.by_oid ~key:(Index.Key.of_int64 file))
-     with Exit -> ());
-    !hit
-  end
+  else
+    Index.Btree.find_newest t.by_oid ~key:(Index.Key.of_int64 file) (fun v ->
+        match H.fetch t.heap snap (Relstore.Tid.decode v) with
+        | Some r when r.oid = file -> Some r
+        | Some _ | None -> None)
 
 let get t snap ~file =
   Option.map (fun (r : H.record) -> decode r.payload) (find_record t snap ~file)

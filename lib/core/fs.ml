@@ -308,10 +308,8 @@ let clone_base_at t ~ts oid =
   | None -> None
   | Some h ->
     let found = ref None in
-    Relstore.Heap.scan h (Snapshot.As_of ts) (fun r ->
-        if Int64.equal r.Relstore.Heap.oid oid
-           && Bytes.length r.Relstore.Heap.payload = 24
-        then
+    Relstore.Heap.scan ~oid h (Snapshot.As_of ts) (fun r ->
+        if Bytes.length r.Relstore.Heap.payload = 24 then
           found :=
             Some
               {
@@ -815,9 +813,8 @@ let ftruncate s fd new_size =
         done;
         let cm = clonemap_heap t in
         let tids = ref [] in
-        Relstore.Heap.scan cm (Txn.snapshot txn) (fun r ->
-            if Int64.equal r.Relstore.Heap.oid of_.oid then
-              tids := r.Relstore.Heap.tid :: !tids);
+        Relstore.Heap.scan ~oid:of_.oid cm (Txn.snapshot txn) (fun r ->
+            tids := r.Relstore.Heap.tid :: !tids);
         List.iter (fun tid -> Relstore.Heap.delete cm txn tid) !tids;
         drop_clone_cache t
       | _ -> ());

@@ -66,36 +66,25 @@ let decode_chunk payload =
 
 let historical = function Relstore.Snapshot.As_of _ -> true | _ -> false
 
-(* All indexed versions of a chunk, newest (highest TID) first: the
-   common case — reading or replacing the current version — then finds it
-   on the first probe instead of walking the whole version chain. *)
-let versions_newest_first t ~chunkno =
-  List.rev (Index.Btree.lookup t.index ~key:(Index.Key.of_int64 chunkno))
+(* The version of a chunk visible to a current snapshot: at most one is,
+   and it is usually the newest (highest TID), so the probe walks the
+   version chain newest first and stops there.  The record must
+   re-identify as this chunk: after a crash the index can hold stale
+   entries whose heap slot was reused by a different chunk.  Only the
+   header is needed for that, so peek instead of decoding the payload. *)
+let probe_visible t snap ~chunkno =
+  Index.Btree.find_newest t.index ~key:(Index.Key.of_int64 chunkno) (fun v ->
+      let tid = Relstore.Tid.decode v in
+      match H.fetch t.heap snap tid with
+      | Some r when Int64.equal (Chunk.peek_chunkno r.H.payload) chunkno ->
+        Some (tid, r.H.payload)
+      | Some _ | None -> None)
 
 (* The visible version of a chunk: try the index first (all non-vacuumed
    versions are indexed); for historical snapshots fall back to scanning
    the heap + archive when vacuuming removed the version we need. *)
 let find_visible t snap ~chunkno =
-  let via_index =
-    let hit = ref None in
-    (try
-       List.iter
-         (fun v ->
-           let tid = Relstore.Tid.decode v in
-           match H.fetch t.heap snap tid with
-           (* Cross-check the record against the key it was found under: a
-              stale or rebuilt-from-elsewhere index entry must never make
-              us return the wrong chunk.  Only the header is needed for
-              that, so peek instead of decoding the whole payload. *)
-           | Some r when Int64.equal (Chunk.peek_chunkno r.H.payload) chunkno ->
-             hit := Some (tid, r.H.payload);
-             raise Exit
-           | Some _ | None -> ())
-         (versions_newest_first t ~chunkno)
-     with Exit -> ());
-    !hit
-  in
-  match via_index with
+  match probe_visible t snap ~chunkno with
   | Some _ as hit -> hit
   | None ->
     if historical snap then begin
@@ -144,21 +133,12 @@ let write_chunk t txn ~chunkno data =
   if Bytes.length data > Chunk.capacity then
     invalid_arg "Inv_file.write_chunk: data exceeds chunk capacity";
   let snap = Relstore.Txn.snapshot txn in
-  (* Stamp the currently visible version dead, if any.  The record must
-     re-identify as this chunk before we kill it: after a crash the index
-     can hold stale entries whose heap slot was reused by a different
-     chunk, and stamping through one would destroy an unrelated write. *)
-  (try
-     List.iter
-       (fun v ->
-         let tid = Relstore.Tid.decode v in
-         match H.fetch t.heap snap tid with
-         | Some r when Int64.equal (Chunk.peek_chunkno r.H.payload) chunkno ->
-           H.delete t.heap txn tid;
-           raise Exit
-         | Some _ | None -> ())
-       (versions_newest_first t ~chunkno)
-   with Exit -> ());
+  (* Stamp the currently visible version dead, if any.  [probe_visible]
+     re-identifies the record as this chunk first, so a stale post-crash
+     entry can never make us destroy an unrelated write. *)
+  (match probe_visible t snap ~chunkno with
+  | Some (tid, _) -> H.delete t.heap txn tid
+  | None -> ());
   let payload = Chunk.encode (encode_for_storage t ~chunkno data) in
   let tid = H.insert t.heap txn ~oid:t.oid payload in
   Index.Btree.insert_logged t.index txn ~key:(Index.Key.of_int64 chunkno)

@@ -64,10 +64,12 @@ let fetch_entry t snap tid =
 let historical = function Relstore.Snapshot.As_of _ -> true | _ -> false
 
 (* Historical snapshots scan (including the archive, via Heap.scan) so
-   vacuumed entries stay reachable; current snapshots use the indexes. *)
-let scan_filter t snap pred =
+   vacuumed entries stay reachable; current snapshots use the indexes,
+   where at most one version of an entry is visible, so a probe stops at
+   the newest visible one. *)
+let scan_filter ?oid t snap pred =
   let acc = ref [] in
-  H.scan t.heap snap (fun r ->
+  H.scan ?oid t.heap snap (fun r ->
       let e = decode r.tid r.payload in
       if pred e then acc := e :: !acc);
   List.rev !acc
@@ -77,21 +79,11 @@ let lookup t snap ~parentid ~name =
     match scan_filter t snap (fun e -> e.parentid = parentid && String.equal e.name name) with
     | e :: _ -> Some e
     | [] -> None
-  else begin
-    let key = Index.Key.dir_name ~parentid ~name in
-    let hit = ref None in
-    (try
-       List.iter
-         (fun v ->
-           match fetch_entry t snap (Relstore.Tid.decode v) with
-           | Some e when e.parentid = parentid && String.equal e.name name ->
-             hit := Some e;
-             raise Exit
-           | Some _ | None -> ())
-         (Index.Btree.lookup t.by_dir ~key)
-     with Exit -> ());
-    !hit
-  end
+  else
+    Index.Btree.find_newest t.by_dir ~key:(Index.Key.dir_name ~parentid ~name) (fun v ->
+        match fetch_entry t snap (Relstore.Tid.decode v) with
+        | Some e when e.parentid = parentid && String.equal e.name name -> Some e
+        | Some _ | None -> None)
 
 let list_dir t snap ~parentid =
   let entries =
@@ -112,21 +104,14 @@ let list_dir t snap ~parentid =
 
 let by_oid t snap ~file =
   if historical snap then
-    match scan_filter t snap (fun e -> e.file = file) with e :: _ -> Some e | [] -> None
-  else begin
-    let hit = ref None in
-    (try
-       List.iter
-         (fun v ->
-           match fetch_entry t snap (Relstore.Tid.decode v) with
-           | Some e when e.file = file ->
-             hit := Some e;
-             raise Exit
-           | Some _ | None -> ())
-         (Index.Btree.lookup t.by_oid ~key:(Index.Key.of_int64 file))
-     with Exit -> ());
-    !hit
-  end
+    match scan_filter ~oid:file t snap (fun e -> e.file = file) with
+    | e :: _ -> Some e
+    | [] -> None
+  else
+    Index.Btree.find_newest t.by_oid ~key:(Index.Key.of_int64 file) (fun v ->
+        match fetch_entry t snap (Relstore.Tid.decode v) with
+        | Some e when e.file = file -> Some e
+        | Some _ | None -> None)
 
 let iter_all t snap f = H.scan t.heap snap (fun r -> f (decode r.tid r.payload))
 

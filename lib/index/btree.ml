@@ -557,6 +557,121 @@ let lookup t ~key =
   scan_range t ~lo:key ~hi:key (fun _ v -> acc := v :: !acc);
   List.rev !acc
 
+(* ---- newest-first point probe ---- *)
+
+let m_probes = Obs.Metrics.counter "index.probes"
+let m_probe_entries = Obs.Metrics.counter "index.probe_entries"
+
+(* Values copied out of a leaf per pin. *)
+let probe_batch = 8
+
+(* Descend to a leaf, also returning its lower fence: the separator that
+   routed into it ([None] on the leftmost path).  Every item in the leaf
+   is >= the fence and every item in earlier leaves is below it.  With
+   [~before:true] an exact separator match routes left, so the walk ends
+   at the leaf holding the greatest items strictly below [item] — the
+   predecessor of the leaf fenced by [item], found without back links. *)
+let rec descend_fenced t blkno item ~before fence =
+  let step =
+    with_page t blkno (fun p ->
+        if node_level p = 0 then None
+        else begin
+          let n = node_nitems p in
+          let pos = lower_bound n (fun i -> int_item t p i) item in
+          let pos =
+            if (not before) && pos < n && String.equal (int_item t p pos) item then pos + 1
+            else pos
+          in
+          if pos = 0 then Some (Page.get_u32 p n_child0, fence)
+          else Some (int_child t p (pos - 1), Some (int_item t p (pos - 1)))
+        end)
+  in
+  match step with
+  | None -> (blkno, fence)
+  | Some (child, fence) -> descend_fenced t child item ~before fence
+
+let find_newest t ~key f =
+  Relstore.Cpu_model.charge_index_op (Device.clock t.device);
+  Obs.Metrics.incr m_probes;
+  let lo_item = key ^ String.make 8 '\x00' in
+  let hi_item = item_of t ~key ~value:(-1L) in
+  (* Items of one key order by their value suffix, i.e. by the value as an
+     unsigned integer. *)
+  let newest_first = List.sort_uniq (fun a b -> Int64.unsigned_compare b a) in
+  let staged =
+    ref
+      (newest_first
+         (List.filter_map
+            (fun it ->
+              if String.compare it lo_item >= 0 && String.compare it hi_item <= 0 then
+                Some (Bytes.get_int64_be (Bytes.unsafe_of_string it) t.klen)
+              else None)
+            t.pending))
+  in
+  let rec visit = function
+    | [] -> None
+    | v :: rest -> (
+      match f v with
+      | Some _ as hit -> hit
+      | None ->
+        Obs.Metrics.incr m_probe_entries;
+        visit rest)
+  in
+  (* A batch from the tree takes in the staged values at or above its
+     oldest entry; an entry both staged and applied is visited once. *)
+  let with_staged batch =
+    match List.rev batch with
+    | [] -> []
+    | oldest :: _ ->
+      let above, below =
+        List.partition (fun s -> Int64.unsigned_compare s oldest >= 0) !staged
+      in
+      staged := below;
+      newest_first (above @ batch)
+  in
+  (* Walk right to left in batches of at most [probe_batch] values.  A
+     batch is copied out under the pin and visited after releasing it, so
+     [f] may touch the cache, and a long version history costs only the
+     copies the probe actually visits.  The next batch re-descends below
+     the last value copied, so it never trusts a leaf left unpinned; a
+     leaf's fence leads to its predecessor, past leaves emptied by lazy
+     deletion. *)
+  let rec walk (leaf, fence) ~below =
+    let values, first, next_below =
+      with_page t leaf (fun p ->
+          let n = node_nitems p in
+          let get i = leaf_item t p i in
+          let first = lower_bound n get lo_item in
+          let stop =
+            match below with
+            | Some b -> lower_bound n get b
+            | None ->
+              let stop = lower_bound n get hi_item in
+              if stop < n && String.equal (get stop) hi_item then stop + 1 else stop
+          in
+          let take = max first (stop - probe_batch) in
+          let raw = Page.raw p in
+          let acc = ref [] in
+          for i = take to stop - 1 do
+            acc := Bytes.get_int64_be raw (items_base + (i * t.isize) + t.klen) :: !acc
+          done;
+          (!acc, first, if take > first then Some (get take) else None))
+    in
+    match visit (with_staged values) with
+    | Some _ as hit -> hit
+    | None -> (
+      let step b =
+        let root, _, _ = read_meta t in
+        walk (descend_fenced t root b ~before:true None) ~below:(Some b)
+      in
+      match (next_below, fence) with
+      | Some b, _ -> step b
+      | None, Some fence when first = 0 && String.compare fence lo_item > 0 -> step fence
+      | _ -> visit !staged)
+  in
+  let root, _, _ = read_meta t in
+  walk (descend_fenced t root hi_item ~before:false None) ~below:None
+
 let iter t f =
   scan_range t ~lo:(String.make t.klen '\x00') ~hi:(String.make t.klen '\xff') f
 

@@ -81,6 +81,16 @@ val delete : t -> key:string -> value:int64 -> bool
 val lookup : t -> key:string -> int64 list
 (** All values stored under exactly [key], ascending. *)
 
+val find_newest : t -> key:string -> (int64 -> 'a option) -> 'a option
+(** Visit the values stored under exactly [key] newest (highest) first —
+    the order of [List.rev (lookup t ~key)], deferred-overlay entries
+    included — and return the first [Some] the callback gives, without
+    visiting the rest.  The walk starts at the key's rightmost leaf and
+    steps left (leaves left empty by lazy deletion are stepped over); the
+    callback runs with no page pinned.  Charges one index operation, like
+    {!lookup}, and counts the probe in the [index.probes] metric and each
+    value the callback declined in [index.probe_entries]. *)
+
 val scan_range : t -> lo:string -> hi:string -> (string -> int64 -> unit) -> unit
 (** Visit every entry with [lo <= key <= hi] in key order.  The callback
     may raise to stop early. *)

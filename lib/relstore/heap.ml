@@ -195,7 +195,7 @@ let update t txn tid payload =
 let hint_sequential t =
   Pagestore.Bufcache.hint_sequential t.cache t.device ~segid:t.segid
 
-let scan_raw t f =
+let scan_pages ?oid ?keep t f =
   Obs.Metrics.incr m_scan;
   (* The span wraps the whole pass so device reads issued for the scan's
      pages nest inside it in the trace tree. *)
@@ -208,10 +208,12 @@ let scan_raw t f =
            touch the cache (e.g. follow the record into another relation). *)
         let records = ref [] in
         with_page t blkno (fun page ->
-            Heap_page.iter page (fun r ->
+            Heap_page.iter ?oid ?keep page (fun r ->
                 records := record_of_page_record blkno r :: !records));
         List.iter f (List.rev !records)
       done)
+
+let scan_raw t f = scan_pages t f
 
 let scan_block t blkno f =
   if blkno >= 0 && blkno < nblocks t then begin
@@ -222,7 +224,10 @@ let scan_block t blkno f =
     List.iter f (List.rev !records)
   end
 
-let scan t snap f =
+let scan ?oid t snap f =
+  (* Judged on the slot header, so the versions a scan discards are never
+     copied out of the page. *)
+  let keep ~xmin ~xmax = Snapshot.visible t.log snap ~xmin ~xmax in
   match (snap, t.archive) with
   | Snapshot.As_of _, Some arch ->
     (* Historical read-through: archived versions join the scan.  A crash
@@ -232,19 +237,15 @@ let scan t snap f =
        version's identity — stamps plus payload. *)
     let seen = Hashtbl.create 64 in
     let emit r =
-      if Snapshot.visible t.log snap ~xmin:r.xmin ~xmax:r.xmax then begin
-        let key = (r.oid, r.xmin, r.xmax, Bytes.to_string r.payload) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          f r
-        end
+      let key = (r.oid, r.xmin, r.xmax, Bytes.to_string r.payload) in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.replace seen key ();
+        f r
       end
     in
-    scan_raw t emit;
-    scan_raw arch emit
-  | _ ->
-    scan_raw t (fun r ->
-        if Snapshot.visible t.log snap ~xmin:r.xmin ~xmax:r.xmax then f r)
+    scan_pages ?oid ~keep t emit;
+    scan_pages ?oid ~keep arch emit
+  | _ -> scan_pages ?oid ~keep t f
 
 let kill_tid t (tid : Tid.t) =
   reject_if_append_only t "Heap.kill_tid";

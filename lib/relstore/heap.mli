@@ -105,8 +105,10 @@ val read_lock : t -> Txn.t -> unit
 
 val write_lock : t -> Txn.t -> unit
 
-val scan : t -> Snapshot.t -> (record -> unit) -> unit
-(** All visible records in physical order.  With an [As_of] snapshot the
+val scan : ?oid:int64 -> t -> Snapshot.t -> (record -> unit) -> unit
+(** All visible records in physical order; with [oid], only that oid's.
+    Visibility and [oid] are judged on the slot header, so a skipped
+    version's payload is never copied.  With an [As_of] snapshot the
     attached archive (if any) is scanned too, so vacuumed history remains
     reachable. *)
 

@@ -117,9 +117,25 @@ let kill_slot page ~slot =
   if slot < 0 || slot >= nslots page then invalid_arg "Heap_page.kill_slot: bad slot";
   set_slot_entry page slot ~off:0 ~len:0
 
-let iter page f =
+(* The filters read the record header in place, allocation-free, so a
+   scan pays no copy for the versions it skips. *)
+let iter ?oid ?keep page f =
+  let raw = Pagestore.Page.raw page in
   for slot = 0 to nslots page - 1 do
-    match read_record page ~slot with Some r -> f r | None -> ()
+    let off = Pagestore.Page.get_u16 page (line_ptr_off slot) in
+    let kept =
+      Pagestore.Page.get_u16 page (line_ptr_off slot + 2) > 0
+      && (match oid with
+      | None -> true
+      | Some want -> Int64.equal (Bytes.get_int64_le raw off) want)
+      &&
+      match keep with
+      | None -> true
+      | Some keep ->
+        keep ~xmin:(Pagestore.Page.get_u32 page (off + 8))
+          ~xmax:(Pagestore.Page.get_u32 page (off + 12))
+    in
+    if kept then match read_record page ~slot with Some r -> f r | None -> ()
   done
 
 let compact page =

@@ -62,9 +62,16 @@ val kill_slot : Pagestore.Page.t -> slot:int -> unit
     different record (slot stays allocated), so stale index entries cannot
     alias a new record. *)
 
-val iter : Pagestore.Page.t -> (record -> unit) -> unit
+val iter :
+  ?oid:int64 ->
+  ?keep:(xmin:Xid.t -> xmax:Xid.t -> bool) ->
+  Pagestore.Page.t ->
+  (record -> unit) ->
+  unit
 (** All live (non-dead-slot) records in slot order, regardless of
-    visibility. *)
+    visibility.  With [oid], only that oid's records; with [keep], only
+    those whose stamps it accepts.  Both are judged on the record header,
+    so a skipped record's payload is never copied out. *)
 
 val compact : Pagestore.Page.t -> unit
 (** Slide live records together to reclaim dead data space.  Slot numbers

@@ -358,6 +358,83 @@ let test_overlay_ungrouped_applies_at_commit () =
     (Relstore.Status_log.intent_count (Relstore.Db.status_log db));
   check_ok t
 
+(* ---- newest-first probe ---- *)
+
+(* Every value [find_newest] offers the callback, in order. *)
+let probe_order t k =
+  let seen = ref [] in
+  ignore
+    (Index.Btree.find_newest t ~key:k (fun v ->
+         seen := v :: !seen;
+         None)
+      : unit option);
+  List.rev !seen
+
+let probe_agrees t k accept =
+  let newest_first = List.rev (Index.Btree.lookup t ~key:k) in
+  probe_order t k = newest_first
+  && Index.Btree.find_newest t ~key:k (fun v -> if accept v then Some v else None)
+     = List.find_opt accept newest_first
+
+let prop_find_newest_matches_lookup =
+  QCheck.Test.make ~name:"find_newest = first match of List.rev lookup" ~count:12
+    QCheck.(pair int (int_bound 2))
+    (fun (seed, style) ->
+      let rng = Simclock.Rng.create (Int64.of_int seed) in
+      let db, t = mk_db_tree ~deferred_index:true () in
+      let k = key 500 in
+      (* neighbours on both sides, so the key's run starts and ends mid-leaf *)
+      for v = 0 to 99 do
+        Index.Btree.insert t ~key:(key 499) ~value:(Int64.of_int v);
+        Index.Btree.insert t ~key:(key 501) ~value:(Int64.of_int v)
+      done;
+      (* 2,000+ duplicates at 511 items per leaf span at least four leaves *)
+      let n = 2_000 + Simclock.Rng.int rng 400 in
+      for i = 0 to n - 1 do
+        Index.Btree.insert t ~key:k ~value:(Int64.of_int (3 * i))
+      done;
+      (* Any 1,100 consecutive entries of the run cover a whole leaf, so
+         deleting them empties at least one leaf in the middle of the run. *)
+      let a = 100 + Simclock.Rng.int rng (n - 1_300) in
+      for i = a to a + 1_099 do
+        ignore (Index.Btree.delete t ~key:k ~value:(Int64.of_int (3 * i)) : bool)
+      done;
+      let accept =
+        let pick = Int64.of_int (Simclock.Rng.int rng (3 * n)) in
+        match style with
+        | 0 -> fun v -> Int64.compare v pick <= 0 (* reached by stepping left *)
+        | 1 -> fun v -> Int64.rem v 7L = Int64.rem pick 7L
+        | _ -> fun _ -> false
+      in
+      let applied = probe_agrees t k accept in
+      let staged = ref false in
+      Relstore.Db.with_txn db (fun txn ->
+          Relstore.Txn.lock txn ~resource:"ix" Relstore.Lock_mgr.Exclusive;
+          (* staged values above, below and inside the emptied stretch, plus
+             exact duplicates of applied entries (the newest one included) *)
+          List.iter
+            (fun v -> Index.Btree.insert_logged t txn ~key:k ~value:(Int64.of_int v))
+            [ (3 * n) + 1; 1; (3 * a) + 1; 3 * (a + 1_100); 3 * (n - 1) ];
+          staged := Index.Btree.pending_count t = 5 && probe_agrees t k accept);
+      (match Index.Btree.check_invariants t with
+      | Ok () -> ()
+      | Error m -> QCheck.Test.fail_report m);
+      Index.Btree.height t > 1 && applied && !staged
+      && Index.Btree.pending_count t = 0
+      && probe_agrees t k accept)
+
+let test_probe_counters () =
+  let t = make_tree () in
+  List.iter (fun v -> Index.Btree.insert t ~key:(key 3) ~value:v) [ 1L; 2L; 3L; 4L ];
+  let read name = Option.value ~default:0 (Obs.Metrics.read name) in
+  let p0 = read "index.probes" and e0 = read "index.probe_entries" in
+  Alcotest.(check (option int64)) "stops at the first accepted" (Some 2L)
+    (Index.Btree.find_newest t ~key:(key 3) (fun v -> if v <= 2L then Some v else None));
+  Alcotest.(check (option int64)) "absent key" None
+    (Index.Btree.find_newest t ~key:(key 9) (fun v -> Some v));
+  Alcotest.(check int) "two probes" 2 (read "index.probes" - p0);
+  Alcotest.(check int) "declined entries counted" 2 (read "index.probe_entries" - e0)
+
 let () =
   Alcotest.run "btree"
     [
@@ -376,6 +453,7 @@ let () =
           Alcotest.test_case "klen bounds" `Quick test_klen_bounds;
           Alcotest.test_case "empty range scans" `Quick test_empty_range_scan;
           Alcotest.test_case "duplicate-heavy keys" `Quick test_duplicate_heavy;
+          Alcotest.test_case "probe counters" `Quick test_probe_counters;
         ] );
       ( "bulk insert",
         [
@@ -391,5 +469,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_model_equivalence; prop_delete_then_absent ] );
+          [ prop_model_equivalence; prop_delete_then_absent;
+            prop_find_newest_matches_lookup ] );
     ]

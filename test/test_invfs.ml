@@ -883,6 +883,57 @@ let test_ftruncate () =
     (Bytes.to_string buf);
   Fs.p_close s fd
 
+(* ---- host cost of the create path ---- *)
+
+(* A 4 MB single-process create under the headline commit pipeline
+   (group commit 8, deferred index, early release).  Each write finds the
+   visible version of its chunk and of the file's attribute record; that
+   must not walk the version history, so probes stay shallow and the
+   allocation per write stays flat as versions pile up.  Minor words are
+   deterministic for a given build, so the ratio is exact. *)
+let test_create_cost_stays_flat () =
+  let clock = Simclock.Clock.create () in
+  let switch = Pagestore.Switch.create ~clock in
+  ignore
+    (Pagestore.Switch.add_device switch ~name:"disk0"
+       ~kind:Pagestore.Device.Magnetic_disk ()
+      : Pagestore.Device.t);
+  let db =
+    Relstore.Db.create ~switch ~clock ~cache_capacity:300 ~os_cache_blocks:16384
+      ~group_commit:8 ~flush_wait_us:1_000_000 ~deferred_index:true ~early_release:true ()
+  in
+  let fs = Fs.make db () in
+  let s = Fs.new_session fs in
+  let fd = Fs.p_creat s "/create.dat" in
+  let cap = Invfs.Chunk.capacity in
+  let per_mb = (1 lsl 20) / cap in
+  let chunks = 4 * per_mb in
+  let data = Bytes.make cap 'c' in
+  let counter name = Option.value ~default:0 (Obs.Metrics.read name) in
+  let probes0 = counter "index.probes" and entries0 = counter "index.probe_entries" in
+  let words = Array.make chunks 0. in
+  for i = 0 to chunks - 1 do
+    let w0 = Gc.minor_words () in
+    ignore (Fs.p_write s fd data cap : int);
+    words.(i) <- Gc.minor_words () -. w0
+  done;
+  Fs.p_close s fd;
+  let probes = counter "index.probes" - probes0 in
+  let entries = counter "index.probe_entries" - entries0 in
+  Alcotest.(check bool) "writes probed the indexes" true (probes >= chunks);
+  let depth = float_of_int entries /. float_of_int probes in
+  if depth > 2. then Alcotest.failf "probes visit %.2f entries before the match" depth;
+  let mean first =
+    let total = ref 0. in
+    for i = first to first + per_mb - 1 do
+      total := !total +. words.(i)
+    done;
+    !total /. float_of_int per_mb
+  in
+  let growth = mean (3 * per_mb) /. mean 0 in
+  if growth > 3. then
+    Alcotest.failf "a write in the last MB allocates %.2fx one in the first" growth
+
 (* ---- crash-consistency property: committed prefix survives ---- *)
 
 let prop_crash_preserves_committed_prefix =
@@ -1045,6 +1096,8 @@ let () =
           Alcotest.test_case "clone survives crash" `Quick test_clone_survives_crash;
         ] );
       ("fsck", [ Alcotest.test_case "clean audit" `Quick test_fsck_clean_system ]);
+      ( "host cost",
+        [ Alcotest.test_case "create cost stays flat" `Quick test_create_cost_stays_flat ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
