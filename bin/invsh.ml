@@ -339,7 +339,10 @@ let run_command shell line =
       say "  %-22s %8d" "net.bytes_sent" (Netsim.bytes_sent net);
       say "  %-22s %8d" "client.retries" (Remote.Client.retries c);
       say "  %-22s %8d" "client.timeouts" (Remote.Client.timeouts c);
-      say "  %-22s %8d" "client.reconnects" (Remote.Client.reconnects c));
+      say "  %-22s %8d" "client.reconnects" (Remote.Client.reconnects c);
+      say "  %-22s %8d" "client.closes_held" (Remote.Client.closes_held c);
+      say "  %-22s %8d" "server.closes_carried"
+        (Option.value ~default:0 (Obs.Metrics.read "net.server.closes_carried")));
     (match shell.cluster with
     | None -> ()
     | Some (cl, conn) ->

@@ -67,6 +67,7 @@ type outcome = {
   io_faults : int;
   server_crashes : int;
   replays : int;
+  closes_carried : int;
   leases_expired : int;
   sessions_lost : int;
   reconnects : int;
@@ -842,6 +843,7 @@ let run ?(config = default_config) ~seed () =
     io_faults = st.io_faults;
     server_crashes = Server.crashes server;
     replays = Server.replays server;
+    closes_carried = Server.closes_carried server;
     leases_expired = Server.leases_expired server;
     sessions_lost =
       Array.fold_left (fun a cs -> a + Client.sessions_lost cs.c) 0 st.clients;

@@ -44,6 +44,7 @@ type outcome = {
   io_faults : int;
   server_crashes : int;
   replays : int;  (** requests answered from a dedup window *)
+  closes_carried : int;  (** closes the server ran from compound requests *)
   leases_expired : int;
   sessions_lost : int;
   reconnects : int;

@@ -25,6 +25,11 @@ let default_config =
     retry_refill_per_s = 2.0;
   }
 
+(* Client-side fd state: the position (reads and writes carry explicit
+   offsets) and whether the fd reads a past instant, whose close must
+   release the server's vacuum lease before [c_close] returns. *)
+type fd_state = { pos : int64 ref; as_of : bool }
+
 type t = {
   server : Server.t;
   link : Link.t;
@@ -33,7 +38,8 @@ type t = {
   rng : Rng.t;
   cfg : config;
   asm : Wire.Assembly.t;
-  fd_pos : (int, int64 ref) Hashtbl.t;
+  fds : (int, fd_state) Hashtbl.t;
+  mutable held : int list; (* closes to carry on the next request, newest first *)
   mutable sid : int64; (* 0 = no session *)
   mutable next_rid : int64;
   mutable in_txn : bool;
@@ -47,6 +53,7 @@ type t = {
   mutable overloaded : int;
   mutable deadline_failfasts : int;
   mutable budget_denials : int;
+  mutable closes_held : int;
 }
 
 let sid t = t.sid
@@ -59,6 +66,7 @@ let sessions_lost t = t.sessions_lost
 let overloaded t = t.overloaded
 let deadline_failfasts t = t.deadline_failfasts
 let budget_denials t = t.budget_denials
+let closes_held t = t.closes_held
 
 (* Deadline propagation is opt-in, per client: an installed deadline
    rides every request's frame header as an absolute simulated-clock
@@ -289,7 +297,10 @@ let session_dead t =
     Obs.event Obs.Net "net.session_lost" ~args:[ ("sid", Obs.I (Int64.to_int t.sid)) ] ();
   t.sid <- 0L;
   t.in_txn <- false;
-  Hashtbl.reset t.fd_pos;
+  Hashtbl.reset t.fds;
+  (* fd numbers restart on the next session: a held close must never
+     reach it *)
+  t.held <- [];
   (* connection teardown: like a TCP reset, abandoning the session also
      discards everything still in flight on the wire.  Without this a
      stale request from the dead session (delayed by a reorder or
@@ -328,6 +339,17 @@ let deadline_exempt = function
   | Wire.Abort | Wire.Bye | Wire.Crash_server -> true
   | _ -> false
 
+(* Close-behind: held closes ride in front of the session's next
+   request.  The compound is built once per call, so every retry of the
+   request id carries the same closes. *)
+let carry t req =
+  if t.held = [] || Wire.control_plane req then req
+  else begin
+    let closes = List.rev t.held in
+    t.held <- [];
+    Wire.Carry { closes; req }
+  end
+
 let rec rpc ?(pipelined = false) ?(reissued = false) t req =
   (if
      t.deadline < infinity
@@ -348,13 +370,14 @@ let rec rpc ?(pipelined = false) ?(reissued = false) t req =
   else begin
     let was_txn = t.in_txn in
     let rid = fresh_rid t in
-    match exchange t ~sid:t.sid ~rid ~pipelined req with
+    let wire_req = carry t req in
+    match exchange t ~sid:t.sid ~rid ~pipelined wire_req with
     | None ->
       (* every retry timed out: the path or the server is gone.  If a probe
          gets through the server is up and our session state decides what
          this meant; otherwise the session is unrecoverable. *)
       if probe_alive t then
-        match exchange t ~sid:t.sid ~rid ~pipelined:false req with
+        match exchange t ~sid:t.sid ~rid ~pipelined:false wire_req with
         | Some reply -> finish t ~was_txn ~reissued ~pipelined req reply
         | None -> give_up t ~was_txn req
       else give_up t ~was_txn req
@@ -423,7 +446,8 @@ let connect ?(config = default_config) ~server ~link ~rng () =
       rng;
       cfg = config;
       asm = Wire.Assembly.create ();
-      fd_pos = Hashtbl.create 8;
+      fds = Hashtbl.create 8;
+      held = [];
       sid = 0L;
       next_rid = 1L;
       in_txn = false;
@@ -437,6 +461,7 @@ let connect ?(config = default_config) ~server ~link ~rng () =
       overloaded = 0;
       deadline_failfasts = 0;
       budget_denials = 0;
+      closes_held = 0;
     }
   in
   Server.attach server link;
@@ -444,6 +469,7 @@ let connect ?(config = default_config) ~server ~link ~rng () =
      own tallies plus the Netsim aggregates underneath it.  Latest client
      wins, matching the registry's replace-on-register rule. *)
   Obs.Metrics.probe "net.client.retries" (fun () -> t.retries);
+  Obs.Metrics.probe "net.client.closes_held" (fun () -> t.closes_held);
   Obs.Metrics.probe "net.client.timeouts" (fun () -> t.timeouts);
   Obs.Metrics.probe "net.client.reconnects" (fun () -> t.reconnects);
   Obs.Metrics.probe "net.client.sessions_lost" (fun () -> t.sessions_lost);
@@ -469,10 +495,12 @@ let expect_int = function
   | Wire.R_int v -> v
   | _ -> Errors.fail Errors.EINVAL "remote: malformed reply"
 
-let pos_of t fd =
-  match Hashtbl.find_opt t.fd_pos fd with
-  | Some p -> p
+let fd_of t fd =
+  match Hashtbl.find_opt t.fds fd with
+  | Some st -> st
   | None -> Errors.fail Errors.EBADF "stale fd %d (session was lost)" fd
+
+let pos_of t fd = (fd_of t fd).pos
 
 let c_begin t = expect_unit (rpc t Wire.Begin)
 let c_commit t = expect_unit (rpc t Wire.Commit)
@@ -480,19 +508,29 @@ let c_abort t = expect_unit (rpc t Wire.Abort)
 
 let c_creat t ?device ?ftype ?(compressed = false) path =
   let fd = expect_fd (rpc t (Wire.Creat { path; device; ftype; compressed })) in
-  Hashtbl.replace t.fd_pos fd (ref 0L);
+  Hashtbl.replace t.fds fd { pos = ref 0L; as_of = false };
   fd
 
 let c_open t ?timestamp path mode =
   let mode = match mode with Fs.Rdonly -> 0 | Fs.Rdwr -> 1 in
   let fd = expect_fd (rpc t (Wire.Open { path; mode; timestamp })) in
-  Hashtbl.replace t.fd_pos fd (ref 0L);
+  Hashtbl.replace t.fds fd { pos = ref 0L; as_of = timestamp <> None };
   fd
 
+(* Outside a transaction a close has no outcome to wait for, so it is
+   held and carried on the session's next request.  Inside one it
+   flushes buffered writes and can fail, and an [As_of] fd's close
+   releases a vacuum lease: both keep their round trip, as does a close
+   that would push the carried list past its cap. *)
 let c_close t fd =
-  ignore (pos_of t fd);
-  expect_unit (rpc t (Wire.Close { fd }));
-  Hashtbl.remove t.fd_pos fd
+  let st = fd_of t fd in
+  if t.in_txn || st.as_of || List.length t.held >= Wire.max_carried_closes then
+    expect_unit (rpc t (Wire.Close { fd }))
+  else begin
+    t.held <- fd :: t.held;
+    t.closes_held <- t.closes_held + 1
+  end;
+  Hashtbl.remove t.fds fd
 
 let c_read t fd buf len =
   let pos = pos_of t fd in

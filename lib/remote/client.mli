@@ -27,6 +27,9 @@
     decides (the Nettest harness resolves it with a lock-free time-travel
     probe of the committed state).
 
+    A close outside a transaction is not an exchange of its own: it is
+    held and carried on the session's next request ({!c_close}).
+
     File positions are client-side state: seeks are free of round trips
     (except [Seek_end], which asks the server for the size) and every
     read/write carries its offset explicitly, keeping requests
@@ -96,6 +99,12 @@ val c_abort : t -> unit
 val c_creat : t -> ?device:string -> ?ftype:string -> ?compressed:bool -> string -> int
 val c_open : t -> ?timestamp:int64 -> string -> Invfs.Fs.open_mode -> int
 val c_close : t -> int -> unit
+(** Outside a transaction, on an fd not opened [?timestamp], the close
+    is {e held}: nothing is sent, and the session's next request carries
+    it ({!Wire.Carry}).  Inside a transaction, on an [As_of] fd, or with
+    {!Wire.max_carried_closes} closes already held, it is a round trip
+    that also carries whatever is held.  Held closes die with their
+    session. *)
 
 val c_read : t -> int -> bytes -> int -> int
 (** Read at the (client-tracked) file position into the buffer prefix. *)
@@ -202,3 +211,7 @@ val deadline_failfasts : t -> int
 val budget_denials : t -> int
 (** Re-offers of shed work refused because the retry budget was dry
     (the call failed with [EBUSY]). *)
+
+val closes_held : t -> int
+(** Closes held for a later request instead of sent on their own
+    (probe ["net.client.closes_held"]). *)

@@ -117,6 +117,7 @@ type t = {
   mutable deadlock_aborts : int;
   mutable unsupported : int;
   mutable group_defers : int;
+  mutable closes_carried : int;
   (* Simulated seconds this machine spent inside [pump] — its share of
      the one global clock.  A cluster bench on a single simulated clock
      cannot observe parallelism directly, so scale-out throughput is
@@ -172,6 +173,7 @@ let create ~fs ?(lease_s = 120.) ?(dedup_window = 16) ?(run_cap = 256)
       deadlock_aborts = 0;
       unsupported = 0;
       group_defers = 0;
+      closes_carried = 0;
       busy_s = 0.;
     }
   in
@@ -203,6 +205,7 @@ let unsupported t = t.unsupported
 let parked_now t = t.parked_n
 let run_queue_depth t = Queue.length t.run_q
 let group_defers t = t.group_defers
+let closes_carried t = t.closes_carried
 let vacuum_steps t = t.vacuum_steps
 
 let attach t link = if not (List.memq link t.links) then t.links <- link :: t.links
@@ -344,8 +347,8 @@ let open_or_creat fsess path =
 let exec t (s : sess) (req : Wire.req) : Wire.result =
   let fsess = s.fsess in
   match req with
-  | Wire.Hello | Wire.Ping | Wire.Crash_server ->
-    (* handled before dispatch reaches here *)
+  | Wire.Hello | Wire.Ping | Wire.Crash_server | Wire.Carry _ ->
+    (* handled (or unwrapped) before dispatch reaches here *)
     Errors.fail Errors.EINVAL "unexpected control request in session dispatch"
   | Wire.Bye ->
     if Fs.in_transaction fsess then (try Fs.p_abort fsess with _ -> ());
@@ -399,11 +402,19 @@ let exec t (s : sess) (req : Wire.req) : Wire.result =
     Wire.R_unit
   | Wire.Stat { path; timestamp } -> Wire.R_att (Fs.stat fsess ?timestamp path)
   | Wire.Exists { path; timestamp } -> Wire.R_bool (Fs.exists fsess ?timestamp path)
-  | Wire.Query { text; timestamp } ->
-    Wire.R_rows
-      (List.map
-         (List.map Postquel.Value.to_string)
-         (Fs.query fsess ?timestamp text))
+  | Wire.Query { text; timestamp } -> (
+    (* The query text is untrusted: its syntax and evaluation errors are
+       the caller's EINVAL, never an exception escaping the pump. *)
+    match Fs.query fsess ?timestamp text with
+    | rows -> Wire.R_rows (List.map (List.map Postquel.Value.to_string) rows)
+    | exception Postquel.Lexer.Lex_error (msg, pos) ->
+      Errors.fail Errors.EINVAL "query: lex error at %d: %s" pos msg
+    | exception Postquel.Parser.Parse_error msg ->
+      Errors.fail Errors.EINVAL "query: parse error: %s" msg
+    | exception Postquel.Eval.Unknown_function f ->
+      Errors.fail Errors.EINVAL "query: unknown function %s" f
+    | exception Postquel.Eval.Arity_mismatch (f, want, got) ->
+      Errors.fail Errors.EINVAL "query: %s takes %d arguments, got %d" f want got)
   | Wire.Set_owner { path; owner } ->
     Fs.set_owner fsess path owner;
     Wire.R_unit
@@ -505,6 +516,7 @@ let m_park_resumes = Obs.Metrics.counter "net.server.park_resumes"
 let m_park_timeouts = Obs.Metrics.counter "net.server.park_timeouts"
 let m_deadlock_aborts = Obs.Metrics.counter "net.server.deadlock_aborts"
 let m_unsupported = Obs.Metrics.counter "net.server.unsupported"
+let m_closes_carried = Obs.Metrics.counter "net.server.closes_carried"
 
 (* Pure execution time per dispatched request (simulated clock around
    [exec], excluding wire time and dedup replays).  The load harness
@@ -738,7 +750,21 @@ let run_all t =
 
 (* ---------------- admission ---------------- *)
 
-let handle t link ~(h : Wire.hdr) req =
+(* Close-behind: the fds a compound carries are closed once, when its
+   request id is first admitted, ahead of every judgement of the carried
+   request itself.  A close has no outcome the client waits for, so
+   errors are dropped; an fd already closed (the compound of a shed
+   request, re-offered) is [EBADF], a no-op, because fd numbers are never
+   reused within a session. *)
+let run_carried_closes t (s : sess) closes =
+  List.iter
+    (fun fd ->
+      t.closes_carried <- t.closes_carried + 1;
+      Obs.Metrics.incr m_closes_carried;
+      try Fs.p_close s.fsess fd with Errors.Fs_error _ -> ())
+    closes
+
+let handle ?(closes = []) t link ~(h : Wire.hdr) req =
   let sid = h.sid and rid = h.rid in
   t.requests <- t.requests + 1;
   Obs.Metrics.incr m_requests;
@@ -834,6 +860,7 @@ let handle t link ~(h : Wire.hdr) req =
            original will answer; admitting it twice would execute twice *)
         ()
       | None ->
+        run_carried_closes t s closes;
         let now = Simclock.Clock.now t.clock in
         let deadline = deadline_of_us h.deadline_us in
         if now > deadline && not (relief req) then begin
@@ -919,6 +946,7 @@ let process t link frame =
           t.unsupported <- t.unsupported + 1;
           Obs.Metrics.incr m_unsupported;
           reply_now link ~sid:h.sid ~rid:h.rid (Wire.Unsupported { opcode }))
+      | `Req (Wire.Carry { closes; req }) -> handle ~closes t link ~h req
       | `Req req -> handle t link ~h req))
 
 (* Group-commit service at the end of a pump turn.  Every request that

@@ -21,6 +21,11 @@
     has provably moved on); duplicates of a request still queued or
     parked are dropped too (the original will answer).
 
+    A {!Wire.Carry} compound's closes run when its request id is first
+    admitted, before any deadline, shed or park decision; the carried
+    request is then judged as if it had come alone, so a replayed or
+    parked request never re-runs its closes.
+
     {2 Parking: blocking without blocking}
 
     A request that hits a lock conflict and is safe to re-execute from
@@ -229,6 +234,13 @@ val group_defers : t -> int
     commit's status write joined a pending batch, so the reply waited for
     the batched stable write (end of the same pump turn at the latest)
     rather than charging a private force.  Zero when group commit is off. *)
+
+val closes_carried : t -> int
+(** Closes run from {!Wire.Carry} compounds (counter
+    ["net.server.closes_carried"]): one per carried fd each time its
+    compound arrives under a request id the session has neither queued
+    nor answered.  A compound shed and then re-offered counts twice; the
+    second close is a no-op. *)
 
 val vacuum_steps : t -> int
 (** Background-vacuum increments this server has run (timer slot). *)

@@ -137,6 +137,16 @@ type req =
   | Snapshot
   | Clone of { src : string; dst : string }
   | Vacuum_step of { pages : int }
+  | Carry of { closes : int list; req : req }
+
+(* Close-behind: at most this many fds ride in front of one request. *)
+let max_carried_closes = 16
+
+(* Requests the server answers before any session lookup.  None of them
+   may be carried: a compound's closes belong to a session. *)
+let control_plane = function
+  | Hello | Ping | Crash_server | Heartbeat _ -> true
+  | _ -> false
 
 (* Chunk-range addressing: a file's data lives in the placement bucket
    its oid hashes to.  Mixed rather than [oid mod n] so renumbering one
@@ -147,7 +157,7 @@ let bucket_of ~nbuckets oid =
   let h = Int64.logxor h (Int64.shift_right_logical h 32) in
   Int64.to_int (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int nbuckets))
 
-let req_name = function
+let rec req_name = function
   | Hello -> "hello"
   | Bye -> "bye"
   | Ping -> "ping"
@@ -184,10 +194,23 @@ let req_name = function
   | Snapshot -> "snapshot"
   | Clone _ -> "clone"
   | Vacuum_step _ -> "vacuum_step"
+  | Carry { req; _ } -> req_name req
 
-let encode_req_payload req =
+(* A compound's prefix: the opcode, the count, then the fds.  The
+   carried request's own encoding follows it unchanged. *)
+let encode_carry_prefix closes =
+  let b = Buffer.create 16 in
+  put_u8 b 37;
+  put_i32 b (List.length closes);
+  List.iter (put_i32 b) closes;
+  Buffer.contents b
+
+let rec encode_req_payload req =
   let b = Buffer.create 64 in
   (match req with
+  | Carry { closes; req } ->
+    Buffer.add_string b (encode_carry_prefix closes);
+    Buffer.add_string b (encode_req_payload req)
   | Hello -> put_u8 b 1
   | Bye -> put_u8 b 2
   | Ping -> put_u8 b 3
@@ -314,117 +337,127 @@ let encode_req_payload req =
    that is damaged or truncated ([`Malformed]): the server answers the
    former with a structured [Unsupported] reply — version skew must not
    look like packet loss — and drops only the latter. *)
+let rec decode_req c ~nested =
+  match get_u8 c with
+  | 1 -> Hello
+  | 2 -> Bye
+  | 3 -> Ping
+  | 4 -> Begin
+  | 5 -> Commit
+  | 6 -> Abort
+  | 7 ->
+    let path = get_str c in
+    let device = get_opt_str c in
+    let ftype = get_opt_str c in
+    let compressed = get_bool c in
+    Creat { path; device; ftype; compressed }
+  | 8 ->
+    let path = get_str c in
+    let mode = get_u8 c in
+    let timestamp = get_opt_i64 c in
+    Open { path; mode; timestamp }
+  | 9 -> Close { fd = get_i32 c }
+  | 10 ->
+    let fd = get_i32 c in
+    let off = get_i64 c in
+    let len = get_i32 c in
+    Read { fd; off; len }
+  | 11 ->
+    let fd = get_i32 c in
+    let off = get_i64 c in
+    let data = get_str c in
+    Write { fd; off; data }
+  | 12 ->
+    let fd = get_i32 c in
+    let size = get_i64 c in
+    Ftruncate { fd; size }
+  | 13 -> Filesize { fd = get_i32 c }
+  | 14 -> Mkdir { path = get_str c }
+  | 15 ->
+    let path = get_str c in
+    let timestamp = get_opt_i64 c in
+    Readdir { path; timestamp }
+  | 16 -> Unlink { path = get_str c }
+  | 17 -> Rmdir { path = get_str c }
+  | 18 ->
+    let src = get_str c in
+    let dst = get_str c in
+    Rename { src; dst }
+  | 19 ->
+    let path = get_str c in
+    let timestamp = get_opt_i64 c in
+    Stat { path; timestamp }
+  | 20 ->
+    let path = get_str c in
+    let timestamp = get_opt_i64 c in
+    Exists { path; timestamp }
+  | 21 ->
+    let text = get_str c in
+    let timestamp = get_opt_i64 c in
+    Query { text; timestamp }
+  | 22 ->
+    let path = get_str c in
+    let owner = get_str c in
+    Set_owner { path; owner }
+  | 23 ->
+    let path = get_str c in
+    let ftype = get_str c in
+    Set_type { path; ftype }
+  | 24 -> Define_type { name = get_str c }
+  | 25 -> Crash_server
+  | 26 ->
+    let shard = get_i32 c in
+    let epoch = get_i32 c in
+    Heartbeat { shard; epoch }
+  | 27 -> Get_placement
+  | 28 ->
+    let oid = get_i64 c in
+    let off = get_i64 c in
+    let len = get_i32 c in
+    let epoch = get_i32 c in
+    Shard_read { oid; off; len; epoch }
+  | 29 ->
+    let oid = get_i64 c in
+    let off = get_i64 c in
+    let epoch = get_i32 c in
+    let data = get_str c in
+    Shard_write { oid; off; data; epoch }
+  | 30 ->
+    let oid = get_i64 c in
+    let size = get_i64 c in
+    let epoch = get_i32 c in
+    Shard_truncate { oid; size; epoch }
+  | 31 -> Fetch_chunks { oid = get_i64 c }
+  | 32 ->
+    let oid = get_i64 c in
+    let epoch = get_i32 c in
+    let data = get_str c in
+    Migrate_in { oid; epoch; data }
+  | 33 ->
+    let bucket = get_i32 c in
+    let epoch = get_i32 c in
+    Drop_bucket { bucket; epoch }
+  | 34 -> Snapshot
+  | 35 ->
+    let src = get_str c in
+    let dst = get_str c in
+    Clone { src; dst }
+  | 36 -> Vacuum_step { pages = get_i32 c }
+  | 37 ->
+    (* a compound nests one level, around a session request *)
+    if nested then raise Decode;
+    let n = get_i32 c in
+    if n < 0 || n > max_carried_closes then raise Decode;
+    let closes = List.init n (fun _ -> get_i32 c) in
+    let req = decode_req c ~nested:true in
+    if control_plane req then raise Decode;
+    Carry { closes; req }
+  | op -> raise (Unknown_opcode op)
+
 let decode_request_any payload =
   let c = { data = payload; pos = 0 } in
   try
-    let req =
-      match get_u8 c with
-      | 1 -> Hello
-      | 2 -> Bye
-      | 3 -> Ping
-      | 4 -> Begin
-      | 5 -> Commit
-      | 6 -> Abort
-      | 7 ->
-        let path = get_str c in
-        let device = get_opt_str c in
-        let ftype = get_opt_str c in
-        let compressed = get_bool c in
-        Creat { path; device; ftype; compressed }
-      | 8 ->
-        let path = get_str c in
-        let mode = get_u8 c in
-        let timestamp = get_opt_i64 c in
-        Open { path; mode; timestamp }
-      | 9 -> Close { fd = get_i32 c }
-      | 10 ->
-        let fd = get_i32 c in
-        let off = get_i64 c in
-        let len = get_i32 c in
-        Read { fd; off; len }
-      | 11 ->
-        let fd = get_i32 c in
-        let off = get_i64 c in
-        let data = get_str c in
-        Write { fd; off; data }
-      | 12 ->
-        let fd = get_i32 c in
-        let size = get_i64 c in
-        Ftruncate { fd; size }
-      | 13 -> Filesize { fd = get_i32 c }
-      | 14 -> Mkdir { path = get_str c }
-      | 15 ->
-        let path = get_str c in
-        let timestamp = get_opt_i64 c in
-        Readdir { path; timestamp }
-      | 16 -> Unlink { path = get_str c }
-      | 17 -> Rmdir { path = get_str c }
-      | 18 ->
-        let src = get_str c in
-        let dst = get_str c in
-        Rename { src; dst }
-      | 19 ->
-        let path = get_str c in
-        let timestamp = get_opt_i64 c in
-        Stat { path; timestamp }
-      | 20 ->
-        let path = get_str c in
-        let timestamp = get_opt_i64 c in
-        Exists { path; timestamp }
-      | 21 ->
-        let text = get_str c in
-        let timestamp = get_opt_i64 c in
-        Query { text; timestamp }
-      | 22 ->
-        let path = get_str c in
-        let owner = get_str c in
-        Set_owner { path; owner }
-      | 23 ->
-        let path = get_str c in
-        let ftype = get_str c in
-        Set_type { path; ftype }
-      | 24 -> Define_type { name = get_str c }
-      | 25 -> Crash_server
-      | 26 ->
-        let shard = get_i32 c in
-        let epoch = get_i32 c in
-        Heartbeat { shard; epoch }
-      | 27 -> Get_placement
-      | 28 ->
-        let oid = get_i64 c in
-        let off = get_i64 c in
-        let len = get_i32 c in
-        let epoch = get_i32 c in
-        Shard_read { oid; off; len; epoch }
-      | 29 ->
-        let oid = get_i64 c in
-        let off = get_i64 c in
-        let epoch = get_i32 c in
-        let data = get_str c in
-        Shard_write { oid; off; data; epoch }
-      | 30 ->
-        let oid = get_i64 c in
-        let size = get_i64 c in
-        let epoch = get_i32 c in
-        Shard_truncate { oid; size; epoch }
-      | 31 -> Fetch_chunks { oid = get_i64 c }
-      | 32 ->
-        let oid = get_i64 c in
-        let epoch = get_i32 c in
-        let data = get_str c in
-        Migrate_in { oid; epoch; data }
-      | 33 ->
-        let bucket = get_i32 c in
-        let epoch = get_i32 c in
-        Drop_bucket { bucket; epoch }
-      | 34 -> Snapshot
-      | 35 ->
-        let src = get_str c in
-        let dst = get_str c in
-        Clone { src; dst }
-      | 36 -> Vacuum_step { pages = get_i32 c }
-      | op -> raise (Unknown_opcode op)
-    in
+    let req = decode_req c ~nested:false in
     if c.pos <> String.length payload then raise Decode;
     `Req req
   with
@@ -723,8 +756,10 @@ let make_frame ~kind ~sid ~rid ~frame_ix ~nframes ~retry ~deadline_us fragment =
 
 (* Split a logical payload into CRC'd frames.  Streamed requests
    ([trailer]) append a zero-length end-of-stream frame, the explicit
-   "that was all of it" marker a windowed upload needs. *)
-let frame_payload ~kind ~sid ~rid ~trailer ~retry ~deadline_us payload =
+   "that was all of it" marker a windowed upload needs.  A [prefix]
+   rides in front of the first fragment without counting toward the
+   split, so it never changes the frame count. *)
+let frame_payload ?(prefix = "") ~kind ~sid ~rid ~trailer ~retry ~deadline_us payload =
   let len = String.length payload in
   let data_frames = max 1 ((len + max_fragment - 1) / max_fragment) in
   let nframes = data_frames + if trailer then 1 else 0 in
@@ -734,9 +769,10 @@ let frame_payload ~kind ~sid ~rid ~trailer ~retry ~deadline_us payload =
     let off = ix * max_fragment in
     let n = min max_fragment (len - off) in
     let n = max n 0 in
+    let fragment = String.sub payload off n in
+    let fragment = if ix = 0 then prefix ^ fragment else fragment in
     frames :=
-      make_frame ~kind ~sid ~rid ~frame_ix:ix ~nframes ~retry ~deadline_us
-        (String.sub payload off n)
+      make_frame ~kind ~sid ~rid ~frame_ix:ix ~nframes ~retry ~deadline_us fragment
       :: !frames
   done;
   if trailer then
@@ -746,6 +782,14 @@ let frame_payload ~kind ~sid ~rid ~trailer ~retry ~deadline_us payload =
   !frames
 
 let encode_request ?(retry = false) ?(deadline_us = 0L) ~sid ~rid req =
+  (* A compound frames exactly as the request it carries: its close list
+     is a prefix on the first fragment, so wrapping never adds a frame
+     or a trailer. *)
+  let prefix, req =
+    match req with
+    | Carry { closes; req } -> (encode_carry_prefix closes, req)
+    | req -> ("", req)
+  in
   let payload = encode_req_payload req in
   (* Only a windowed (multi-fragment) upload needs the end-of-stream
      trailer; a write that fits one frame is its own "that was all of
@@ -757,7 +801,7 @@ let encode_request ?(retry = false) ?(deadline_us = 0L) ~sid ~rid req =
     | Write _ | Shard_write _ | Migrate_in _ -> String.length payload > max_fragment
     | _ -> false
   in
-  frame_payload ~kind:0 ~sid ~rid ~trailer ~retry ~deadline_us payload
+  frame_payload ~prefix ~kind:0 ~sid ~rid ~trailer ~retry ~deadline_us payload
 
 let encode_reply ~sid ~rid reply =
   frame_payload ~kind:1 ~sid ~rid ~trailer:false ~retry:false ~deadline_us:0L
@@ -800,35 +844,63 @@ let decode_header frame =
 (* ---------------- reassembly ---------------- *)
 
 module Assembly = struct
-  type slot = { nframes : int; parts : string option array; mutable have : int }
+  (* Fragments are held sparsely, so a header announcing 65,535 frames
+     reserves nothing until they arrive.  [born] orders slots for
+     eviction. *)
+  type slot = { nframes : int; parts : (int, string) Hashtbl.t; born : int }
+
+  (* A reassembly whose fragments never all arrive (dropped in flight,
+     or a peer that sends one fragment and stops) would otherwise be held
+     forever; past this many incomplete messages the oldest is dropped,
+     which the sender experiences as a lost message. *)
+  let max_pending = 256
 
   (* key: (kind, sid, rid) *)
-  type t = (int * int64 * int64, slot) Hashtbl.t
+  type t = { slots : (int * int64 * int64, slot) Hashtbl.t; mutable clock : int }
 
-  let create () : t = Hashtbl.create 16
+  let create () = { slots = Hashtbl.create 16; clock = 0 }
 
-  let reset (t : t) = Hashtbl.reset t
+  let reset t = Hashtbl.reset t.slots
 
-  let add (t : t) (h : hdr) =
-    let key = (h.kind, h.sid, h.rid) in
-    let slot =
-      match Hashtbl.find_opt t key with
-      | Some s when s.nframes = h.nframes -> s
-      | Some _ | None ->
-        let s = { nframes = h.nframes; parts = Array.make h.nframes None; have = 0 } in
-        Hashtbl.replace t key s;
-        s
+  let pending t = Hashtbl.length t.slots
+
+  let evict_oldest t =
+    let oldest =
+      Hashtbl.fold
+        (fun key s acc ->
+          match acc with
+          | Some (_, b) when b <= s.born -> acc
+          | _ -> Some (key, s.born))
+        t.slots None
     in
-    (match slot.parts.(h.frame_ix) with
-    | Some _ -> () (* duplicate fragment of a retry; ignore *)
-    | None ->
-      slot.parts.(h.frame_ix) <- Some h.payload;
-      slot.have <- slot.have + 1);
-    if slot.have = slot.nframes then begin
-      Hashtbl.remove t key;
-      let b = Buffer.create 256 in
-      Array.iter (function Some p -> Buffer.add_string b p | None -> assert false) slot.parts;
-      `Complete (Buffer.contents b)
-    end
-    else `Pending
+    Option.iter (fun (key, _) -> Hashtbl.remove t.slots key) oldest
+
+  let add t (h : hdr) =
+    let key = (h.kind, h.sid, h.rid) in
+    match Hashtbl.find_opt t.slots key with
+    | None when h.nframes = 1 -> `Complete h.payload
+    | found ->
+      let slot =
+        match found with
+        | Some s when s.nframes = h.nframes -> s
+        | Some _ | None ->
+          if Option.is_none found && Hashtbl.length t.slots >= max_pending then
+            evict_oldest t;
+          t.clock <- t.clock + 1;
+          let s = { nframes = h.nframes; parts = Hashtbl.create 4; born = t.clock } in
+          Hashtbl.replace t.slots key s;
+          s
+      in
+      (* a duplicate fragment of a retry is ignored *)
+      if not (Hashtbl.mem slot.parts h.frame_ix) then
+        Hashtbl.replace slot.parts h.frame_ix h.payload;
+      if Hashtbl.length slot.parts = slot.nframes then begin
+        Hashtbl.remove t.slots key;
+        let b = Buffer.create 256 in
+        for ix = 0 to slot.nframes - 1 do
+          Buffer.add_string b (Hashtbl.find slot.parts ix)
+        done;
+        `Complete (Buffer.contents b)
+      end
+      else `Pending
 end

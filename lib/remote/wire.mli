@@ -110,6 +110,19 @@ type req =
   | Vacuum_step of { pages : int }
       (** run one budgeted increment of the concurrent archive vacuum;
           the reply is the number of record versions scanned *)
+  | Carry of { closes : int list; req : req }
+      (** close-behind: close [closes] (at most {!max_carried_closes}
+          fds of this session), then run [req].  Frames exactly as [req]
+          does and is answered by [req]'s reply.  [req] may be neither a
+          compound nor {!control_plane}; the decoder rejects either, and
+          a count above the cap, as malformed. *)
+
+val max_carried_closes : int
+(** 16. *)
+
+val control_plane : req -> bool
+(** [Hello], [Ping], [Crash_server] and [Heartbeat]: answered before any
+    session lookup, so never carried. *)
 
 val bucket_of : nbuckets:int -> int64 -> int
 (** The placement bucket an oid's chunk range hashes to (mixed, so
@@ -208,6 +221,13 @@ module Assembly : sig
   val add : t -> hdr -> [ `Complete of string | `Pending ]
   (** Returns the whole payload once every fragment of the frame's
       message has arrived. *)
+
+  val max_pending : int
+  (** Incomplete messages held at once (256); a new one past the cap
+      evicts the oldest.  A slot holds only the fragments that arrived,
+      whatever frame count the header announces. *)
+
+  val pending : t -> int
 end
 
 val crc32 : bytes -> off:int -> len:int -> int32

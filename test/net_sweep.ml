@@ -46,9 +46,11 @@ let () =
     | None -> (if quick then quick_seeds else base_seeds) @ env_seeds ()
   in
   let failed = ref 0 in
+  let carried = ref 0 in
   List.iter
     (fun seed ->
       let o = Benchlib.Nettest.run ~config ~seed () in
+      carried := !carried + o.Benchlib.Nettest.closes_carried;
       Printf.printf "%s\n%!" (Benchlib.Nettest.outcome_to_string o);
       List.iter
         (fun m ->
@@ -56,6 +58,13 @@ let () =
           Printf.printf "  MISMATCH: %s\n%!" m)
         o.Benchlib.Nettest.mismatches)
     seeds;
+  Printf.printf "closes carried: %d\n%!" !carried;
+  (* The fault schedules must reach the close-behind path, or the sweep
+     says nothing about it. *)
+  if !carried = 0 then begin
+    Printf.eprintf "net_sweep: no close was carried on a later request\n";
+    exit 1
+  end;
   if !failed > 0 then begin
     Printf.eprintf "net_sweep: %d mismatches (repro: net_sweep.exe --trace SEED)\n"
       !failed;

@@ -1029,6 +1029,391 @@ let test_background_vacuum_timer () =
   Alcotest.(check string) "foreground state untouched" "v2"
     (Bytes.to_string (Client.read_whole_file c "/f"))
 
+(* ---- close-behind ---- *)
+
+let test_close_held_until_next_request () =
+  let _, _, server, net = mk () in
+  let c = mk_client server net 71L in
+  let fd = Client.c_creat c "/f" in
+  let before = Netsim.messages net in
+  Client.c_close c fd;
+  Alcotest.(check int) "the close sent nothing" before (Netsim.messages net);
+  Alcotest.(check int) "held" 1 (Client.closes_held c);
+  Alcotest.(check int) "not yet run" 0 (Server.closes_carried server);
+  ignore (expect_error E.EBADF (fun () -> Client.c_tell c fd) : string);
+  Alcotest.(check bool) "next request answered" true (Client.c_exists c "/f");
+  Alcotest.(check int) "one round trip carried it" (before + 2) (Netsim.messages net);
+  Alcotest.(check int) "run by the server" 1 (Server.closes_carried server);
+  (* the server closes the fds before the carried call runs: a compound
+     that closes fd N and then asks about fd N is refused *)
+  let r = raw_connect server net in
+  let fd =
+    raw_fd r server
+      (Wire.Creat { path = "/g"; device = None; ftype = None; compressed = false })
+  in
+  let rid = raw_send r (Wire.Carry { closes = [ fd ]; req = Wire.Filesize { fd } }) in
+  Server.pump server;
+  (match raw_reply r rid with
+  | Wire.Err_reply { code = E.EBADF; _ } -> ()
+  | _ -> Alcotest.fail "the carried call should find its fd already closed");
+  (* past the cap the close goes out on its own, carrying the held ones *)
+  let fds = List.init (Wire.max_carried_closes + 1) (fun _ -> Client.c_open c "/f" Fs.Rdonly) in
+  let before = Netsim.messages net and carried = Server.closes_carried server in
+  List.iter (Client.c_close c) fds;
+  Alcotest.(check int) "one round trip for cap + 1 closes" (before + 2) (Netsim.messages net);
+  Alcotest.(check int) "the cap rode along" (carried + Wire.max_carried_closes)
+    (Server.closes_carried server)
+
+let test_carried_once_under_faults () =
+  List.iter
+    (fun (name, fault, after, replayed) ->
+      let _, _, server, net = mk () in
+      let c = mk_client server net 72L in
+      let fd = Client.c_creat c "/f" in
+      Client.c_close c fd;
+      let plan = F.create () in
+      F.arm_link plan (Client.link c);
+      (* message 1 = the compound request; message 2 = its reply *)
+      F.schedule_net plan ~after fault;
+      (* the carried request *)
+      Client.c_mkdir c "/d";
+      (* traffic behind it releases a held-back duplicate *)
+      Alcotest.(check (list string)) (name ^ ": tree") [ "d"; "f" ]
+        (List.sort compare (Client.c_readdir c "/"));
+      F.disarm plan;
+      Alcotest.(check bool) (name ^ ": the fault fired") true
+        (Link.faults_injected (Client.link c) >= 1);
+      Alcotest.(check int) (name ^ ": closes ran once") 1 (Server.closes_carried server);
+      (* the second copy was answered from the dedup window, not run *)
+      Alcotest.(check int) (name ^ ": replays") replayed (Server.replays server))
+    [
+      ("duplicated request", F.Net_duplicate, 1, 1);
+      ("dropped request", F.Net_drop, 1, 0);
+      ("dropped reply", F.Net_drop, 2, 1);
+    ]
+
+let test_held_close_never_reaches_new_session () =
+  let clock, fs, server, net = mk ~lease_s:1.0 () in
+  Fs.write_file (Fs.new_session fs) "/a" (Bytes.of_string "alpha");
+  let c = mk_client server net 73L in
+  let fd = Client.c_open c "/a" Fs.Rdonly in
+  Client.c_close c fd;
+  (* the lease lapses: the compound carrying the close meets
+     Unknown_session, the client reconnects and reissues the open on a
+     fresh session, where fd numbers start over *)
+  Simclock.Clock.advance clock 5.;
+  let fd' = Client.c_open c "/a" Fs.Rdonly in
+  Alcotest.(check int) "session lost" 1 (Client.sessions_lost c);
+  Alcotest.(check int) "same fd number on the new session" fd fd';
+  let buf = Bytes.create 5 in
+  Alcotest.(check int) "the new fd is open" 5 (Client.c_read c fd' buf 5);
+  Alcotest.(check string) "contents" "alpha" (Bytes.to_string buf);
+  Alcotest.(check int) "nothing carried" 0 (Server.closes_carried server);
+  (* a close held when the session dies is dropped with it *)
+  Client.c_close c fd';
+  Client.c_crash_server c;
+  let fd'' = Client.c_open c "/a" Fs.Rdonly in
+  Alcotest.(check int) "fd numbers restart after the crash" fd fd'';
+  Alcotest.(check int) "still open" 5 (Client.c_read c fd'' buf 5);
+  Alcotest.(check int) "nothing carried" 0 (Server.closes_carried server)
+
+let test_sync_closes_keep_round_trip () =
+  let _, fs, server, net = mk () in
+  let c = mk_client server net 74L in
+  Client.write_file c "/f" (Bytes.of_string "v1");
+  Client.c_begin c;
+  let fd = Client.c_open c "/f" Fs.Rdwr in
+  let before = Netsim.messages net in
+  Client.c_close c fd;
+  Alcotest.(check int) "a close in a transaction is a round trip" (before + 2)
+    (Netsim.messages net);
+  Client.c_commit c;
+  let ts = Client.c_snapshot c in
+  let fd = Client.c_open c ~timestamp:ts "/f" Fs.Rdonly in
+  let db = Fs.db fs in
+  Alcotest.(check bool) "the As_of fd holds a lease" true
+    (Relstore.Db.oldest_lease db <> None);
+  let before = Netsim.messages net in
+  Client.c_close c fd;
+  Alcotest.(check int) "an As_of close is a round trip" (before + 2) (Netsim.messages net);
+  Alcotest.(check bool) "lease released before c_close returns" true
+    (Relstore.Db.oldest_lease db = None);
+  Alcotest.(check int) "nothing held" 0 (Client.closes_held c);
+  Alcotest.(check int) "nothing carried" 0 (Server.closes_carried server)
+
+(* ---- compound framing and the bounded reassembly table ---- *)
+
+let every_request =
+  let s = "/x/y" in
+  Wire.
+    [
+      Hello; Bye; Ping; Begin; Commit; Abort;
+      Creat { path = s; device = Some "disk0"; ftype = Some "text"; compressed = true };
+      Open { path = s; mode = 1; timestamp = Some 42L };
+      Close { fd = 3 };
+      Read { fd = 3; off = 10L; len = 100 };
+      Write { fd = 3; off = 0L; data = "payload" };
+      Ftruncate { fd = 3; size = 9L };
+      Filesize { fd = 3 };
+      Mkdir { path = s };
+      Readdir { path = s; timestamp = None };
+      Unlink { path = s };
+      Rmdir { path = s };
+      Rename { src = s; dst = "/z" };
+      Stat { path = s; timestamp = Some 7L };
+      Exists { path = s; timestamp = None };
+      Query { text = "retrieve (filename) where size(file) > 0"; timestamp = None };
+      Set_owner { path = s; owner = "olson" };
+      Set_type { path = s; ftype = "text" };
+      Define_type { name = "image" };
+      Crash_server;
+      Heartbeat { shard = 1; epoch = 2 };
+      Get_placement;
+      Shard_read { oid = 5L; off = 0L; len = 64; epoch = 1 };
+      Shard_write { oid = 5L; off = 0L; data = "abc"; epoch = 1 };
+      Shard_truncate { oid = 5L; size = 0L; epoch = 1 };
+      Fetch_chunks { oid = 5L };
+      Migrate_in { oid = 5L; epoch = 1; data = "abc" };
+      Drop_bucket { bucket = 2; epoch = 1 };
+      Snapshot;
+      Clone { src = s; dst = "/c" };
+      Vacuum_step { pages = 4 };
+    ]
+
+let every_compound =
+  List.concat_map
+    (fun req ->
+      if Wire.control_plane req then []
+      else
+        List.map
+          (fun n -> Wire.Carry { closes = List.init n (fun i -> 3 + i); req })
+          [ 0; 1; Wire.max_carried_closes ])
+    every_request
+
+let every_reply =
+  let att =
+    {
+      Invfs.Fileatt.file = 9L;
+      size = 100L;
+      owner = "o";
+      ftype = "t";
+      device = "disk0";
+      index_segid = -1;
+      compressed = false;
+      ctime = 1L;
+      mtime = 2L;
+      atime = 3L;
+    }
+  in
+  Wire.
+    [
+      Ok_reply { txn_open = false; result = R_unit };
+      Ok_reply { txn_open = true; result = R_sid 4L };
+      Ok_reply { txn_open = false; result = R_fd 3 };
+      Ok_reply { txn_open = false; result = R_int 12L };
+      Ok_reply { txn_open = false; result = R_bool true };
+      Ok_reply { txn_open = false; result = R_data "bytes" };
+      Ok_reply { txn_open = false; result = R_names [ "a"; "b" ] };
+      Ok_reply { txn_open = false; result = R_rows [ [ "a"; "1" ]; [] ] };
+      Ok_reply { txn_open = false; result = R_att att };
+      Ok_reply
+        {
+          txn_open = false;
+          result = R_placement { p_epoch = 2; p_owner = [| 1; 2 |]; p_handoff = [ 1 ] };
+        };
+      Err_reply { txn_open = true; code = E.EAGAIN; msg = "busy" };
+      Io_fault_reply { txn_open = false };
+      Unknown_session;
+      Overloaded { retry_after_s = 0.25 };
+      Unsupported { opcode = 99 };
+      Wrong_shard { epoch = 3 };
+    ]
+
+let request_payload req = assemble (Wire.encode_request ~sid:5L ~rid:9L req)
+
+(* Overwrite a frame's CRC field with the checksum of its current bytes. *)
+let reseal b =
+  for i = 32 to 35 do
+    Bytes.set b i '\000'
+  done;
+  let crc = Wire.crc32 b ~off:0 ~len:(Bytes.length b) in
+  Bytes.set b 32 (Char.chr (Int32.to_int (Int32.shift_right_logical crc 24) land 0xff));
+  Bytes.set b 33 (Char.chr (Int32.to_int (Int32.shift_right_logical crc 16) land 0xff));
+  Bytes.set b 34 (Char.chr (Int32.to_int (Int32.shift_right_logical crc 8) land 0xff));
+  Bytes.set b 35 (Char.chr (Int32.to_int crc land 0xff))
+
+let set_i32 b off v =
+  Bytes.set b off (Char.chr ((v lsr 24) land 0xff));
+  Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xff));
+  Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
+  Bytes.set b (off + 3) (Char.chr (v land 0xff))
+
+let test_compound_codec () =
+  List.iter
+    (fun req ->
+      let name = Wire.req_name req in
+      (match Wire.decode_request_any (request_payload req) with
+      | `Req got when got = req -> ()
+      | _ -> Alcotest.fail (name ^ ": compound did not roundtrip"));
+      let inner = match req with Wire.Carry { req; _ } -> req | r -> r in
+      let frames r = Wire.encode_request ~sid:5L ~rid:9L r in
+      Alcotest.(check int) (name ^ ": framed like the carried request")
+        (List.length (frames inner)) (List.length (frames req)))
+    every_compound;
+  (* wrapping must not tip a write that exactly fills one frame into a
+     second frame plus an end-of-stream trailer *)
+  let overhead = String.length (request_payload (Wire.Write { fd = 1; off = 0L; data = "" })) in
+  let full =
+    Wire.Write { fd = 1; off = 0L; data = String.make (Wire.max_fragment - overhead) 'w' }
+  in
+  let closes = List.init Wire.max_carried_closes (fun i -> 3 + i) in
+  Alcotest.(check int) "a full frame stays one frame" 1
+    (List.length (Wire.encode_request ~sid:1L ~rid:1L (Wire.Carry { closes; req = full })));
+  let big = Wire.Write { fd = 1; off = 0L; data = String.make (3 * Wire.max_fragment) 'w' } in
+  Alcotest.(check int) "a windowed upload keeps its frame count and trailer"
+    (List.length (Wire.encode_request ~sid:1L ~rid:1L big))
+    (List.length (Wire.encode_request ~sid:1L ~rid:1L (Wire.Carry { closes; req = big })));
+  (match Wire.decode_request_any (request_payload (Wire.Carry { closes; req = big })) with
+  | `Req (Wire.Carry { req = got; _ }) when got = big -> ()
+  | _ -> Alcotest.fail "a fragmented compound did not reassemble");
+  let malformed what payload =
+    match Wire.decode_request_any payload with
+    | `Malformed -> ()
+    | _ -> Alcotest.fail (what ^ " should be malformed")
+  in
+  let mkdir = Wire.Mkdir { path = "/d" } in
+  malformed "a nested compound"
+    (request_payload
+       (Wire.Carry { closes = [ 3 ]; req = Wire.Carry { closes = [ 4 ]; req = mkdir } }));
+  List.iter
+    (fun req ->
+      if Wire.control_plane req then
+        malformed ("a carried " ^ Wire.req_name req)
+          (request_payload (Wire.Carry { closes = [ 3 ]; req })))
+    every_request;
+  List.iter
+    (fun n ->
+      let b = Bytes.of_string (request_payload (Wire.Carry { closes = [ 3 ]; req = mkdir })) in
+      set_i32 b 1 n;
+      malformed (Printf.sprintf "count %d" n) (Bytes.to_string b))
+    [ -1; Wire.max_carried_closes + 1; 0x7fffffff ]
+
+let test_assembly_bounded () =
+  let asm = Wire.Assembly.create () in
+  let lone rid =
+    { Wire.kind = 0; sid = 1L; rid; frame_ix = 0; nframes = 0xffff; retry = false;
+      deadline_us = 0L; payload = "x" }
+  in
+  let before = Gc.allocated_bytes () in
+  for i = 1 to 10_000 do
+    match Wire.Assembly.add asm (lone (Int64.of_int i)) with
+    | `Pending -> ()
+    | `Complete _ -> Alcotest.fail "a lone fragment completed a message"
+  done;
+  Alcotest.(check int) "the table stops at the cap" Wire.Assembly.max_pending
+    (Wire.Assembly.pending asm);
+  (* one announced 65,535-frame message may not reserve a frame table:
+     10,000 of them stay far below one 512 KB array each *)
+  Alcotest.(check bool) "no per-announcement reservation" true
+    (Gc.allocated_bytes () -. before < 64e6);
+  let data = String.init (2 * Wire.max_fragment) (fun i -> Char.chr (i land 0xff)) in
+  let frames = Wire.encode_request ~sid:1L ~rid:20_000L (Wire.Write { fd = 3; off = 0L; data }) in
+  let complete =
+    List.fold_left
+      (fun acc f ->
+        match Wire.decode_header f with
+        | None -> Alcotest.fail "frame failed parse/CRC"
+        | Some h -> (match Wire.Assembly.add asm h with `Complete p -> Some p | `Pending -> acc))
+      None frames
+  in
+  match Option.map Wire.decode_request complete with
+  | Some (Some (Wire.Write w)) -> Alcotest.(check bool) "reassembled intact" true (w.data = data)
+  | _ -> Alcotest.fail "a complete request did not reassemble after the flood"
+
+(* ---- the decoder fuzzer: only structured outcomes may escape ---- *)
+
+let mutate st s =
+  let n = String.length s in
+  let b = Bytes.of_string s in
+  match Random.State.int st 4 with
+  | 0 -> String.sub s 0 (if n = 0 then 0 else Random.State.int st n)
+  | 1 -> s ^ String.init (1 + Random.State.int st 16) (fun _ -> Char.chr (Random.State.int st 256))
+  | 2 ->
+    for _ = 0 to Random.State.int st 4 do
+      if n > 0 then begin
+        let i = Random.State.int st n in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + Random.State.int st 255)))
+      end
+    done;
+    Bytes.to_string b
+  | _ ->
+    (* a count or length field set to a hostile value; offset 1 is a
+       compound's close count *)
+    if n >= 5 then begin
+      let off = if Random.State.bool st then 1 else Random.State.int st (n - 3) in
+      let v = [| -1; Wire.max_carried_closes + 1; 0x7fffffff |].(Random.State.int st 3) in
+      set_i32 b off v
+    end;
+    Bytes.to_string b
+
+let fuzz_inputs =
+  Array.of_list
+    (List.map (fun r -> `Request r) (every_request @ every_compound)
+    @ List.map (fun r -> `Reply r) every_reply)
+
+(* One server and one connection for the whole run; each case starts
+   with a fresh handshake, because a mutated Hello, Bye or Crash_server
+   may have ended the previous session. *)
+let fuzz_conn =
+  lazy
+    (let _, _, server, net = mk () in
+     (server, raw_connect server net))
+
+let rehello server r =
+  raw_nonce := Int64.add !raw_nonce 1L;
+  let rid = raw_send ~rid:!raw_nonce r Wire.Hello in
+  Server.pump server;
+  match raw_reply r rid with
+  | Wire.Ok_reply { result = Wire.R_sid sid; _ } -> r.r_sid <- sid
+  | _ -> Alcotest.fail "raw hello failed"
+
+let prop_decoders_never_raise =
+  QCheck.Test.make ~name:"mutated wire input never raises" ~count:2000
+    QCheck.(pair (int_bound (Array.length fuzz_inputs - 1)) int)
+    (fun (ix, seed) ->
+      let st = Random.State.make [| seed |] in
+      let frames =
+        match fuzz_inputs.(ix) with
+        | `Request r -> Wire.encode_request ~sid:5L ~rid:9L r
+        | `Reply r -> Wire.encode_reply ~sid:5L ~rid:9L r
+      in
+      let payload = assemble frames in
+      let m = mutate st payload in
+      (match Wire.decode_request_any m with `Req _ | `Unknown _ | `Malformed -> ());
+      (match Wire.decode_reply m with Some _ | None -> ());
+      let frame = mutate st (List.hd frames) in
+      (match Wire.decode_header frame with Some _ | None -> ());
+      (* the same damage re-sealed so it passes the CRC, addressed to a
+         live session, pumped through the server: once as a damaged
+         frame, once as a damaged payload in a sound frame *)
+      let server, r = Lazy.force fuzz_conn in
+      rehello server r;
+      let sound = List.hd (Wire.encode_request ~sid:r.r_sid ~rid:1L Wire.Ping) in
+      let b = Bytes.of_string frame in
+      if Bytes.length b >= Wire.header_bytes then begin
+        Bytes.blit_string sound 8 b 8 8;
+        reseal b
+      end;
+      Link.send r.r_link Link.To_server (Bytes.to_string b);
+      Server.pump server;
+      let b = Bytes.of_string (String.sub sound 0 Wire.header_bytes ^ m) in
+      set_i32 b 28 (String.length m);
+      reseal b;
+      Link.send r.r_link Link.To_server (Bytes.to_string b);
+      Server.pump server;
+      ignore (raw_replies r : (int64 * Wire.reply) list);
+      true)
+
 let () =
   Alcotest.run "remote"
     [
@@ -1108,4 +1493,18 @@ let () =
           Alcotest.test_case "commit replies ride the batch force" `Quick
             test_group_commit_defers_replies;
         ] );
+      ( "close-behind",
+        [
+          Alcotest.test_case "close held until the next request" `Quick
+            test_close_held_until_next_request;
+          Alcotest.test_case "carried once under duplicate and drop" `Quick
+            test_carried_once_under_faults;
+          Alcotest.test_case "held close never reaches a new session" `Quick
+            test_held_close_never_reaches_new_session;
+          Alcotest.test_case "txn and As_of closes keep their round trip" `Quick
+            test_sync_closes_keep_round_trip;
+          Alcotest.test_case "compound codec and framing" `Quick test_compound_codec;
+          Alcotest.test_case "reassembly table is bounded" `Quick test_assembly_bounded;
+        ] );
+      ("wire fuzz", [ QCheck_alcotest.to_alcotest prop_decoders_never_raise ]);
     ]
