@@ -342,7 +342,10 @@ let run_command shell line =
       say "  %-22s %8d" "client.reconnects" (Remote.Client.reconnects c);
       say "  %-22s %8d" "client.closes_held" (Remote.Client.closes_held c);
       say "  %-22s %8d" "server.closes_carried"
-        (Option.value ~default:0 (Obs.Metrics.read "net.server.closes_carried")));
+        (Option.value ~default:0 (Obs.Metrics.read "net.server.closes_carried"));
+      say "  %-22s %8d" "client.begins_held" (Remote.Client.begins_held c);
+      say "  %-22s %8d" "server.begins_carried"
+        (Option.value ~default:0 (Obs.Metrics.read "net.server.begins_carried")));
     (match shell.cluster with
     | None -> ()
     | Some (cl, conn) ->

@@ -68,6 +68,7 @@ type outcome = {
   server_crashes : int;
   replays : int;
   closes_carried : int;
+  begins_carried : int;
   leases_expired : int;
   sessions_lost : int;
   reconnects : int;
@@ -639,7 +640,9 @@ let on_server_crash st _server =
   Array.iter
     (fun cs ->
       let is_current = match st.current with Some c -> c == cs | None -> false in
-      if not is_current then begin
+      (* a transaction that is still only a held Begin never reached the
+         server: nothing ran in it, so the crash leaves it open *)
+      if not (is_current || Client.begin_held cs.c) then begin
         if cs.in_txn then st.aborts <- st.aborts + 1;
         clear_overlay cs;
         cs.pending <- None
@@ -844,6 +847,7 @@ let run ?(config = default_config) ~seed () =
     server_crashes = Server.crashes server;
     replays = Server.replays server;
     closes_carried = Server.closes_carried server;
+    begins_carried = Server.begins_carried server;
     leases_expired = Server.leases_expired server;
     sessions_lost =
       Array.fold_left (fun a cs -> a + Client.sessions_lost cs.c) 0 st.clients;

@@ -45,6 +45,7 @@ type outcome = {
   server_crashes : int;
   replays : int;  (** requests answered from a dedup window *)
   closes_carried : int;  (** closes the server ran from compound requests *)
+  begins_carried : int;  (** Begins the server ran from compound requests *)
   leases_expired : int;
   sessions_lost : int;
   reconnects : int;

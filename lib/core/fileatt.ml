@@ -63,6 +63,7 @@ let decode payload =
 
 let create db ?device () =
   let heap = Relstore.Db.create_relation db ~name:"fileatt" ?device () in
+  H.set_row_locked heap;
   let cache = Relstore.Db.cache db in
   { heap; by_oid = Index.Btree.create ~cache ~device:(H.device heap) ~klen:8 }
 

@@ -37,7 +37,10 @@ type open_mode = Rdonly | Rdwr
 type whence = Seek_set | Seek_cur | Seek_end
 type fd = int
 
-type pending = { mutable pstart : int64; pbuf : Buffer.t }
+(* A buffered in-transaction write.  [pseq] orders it among every
+   buffer of the session: buffers are applied oldest first, so two fds
+   writing the same bytes land in the order they were written. *)
+type pending = { pstart : int64; pbuf : Buffer.t; pseq : int }
 
 type open_file = {
   oid : int64;
@@ -53,6 +56,7 @@ type session = {
   owner_fs : t;
   fds : (int, open_file) Hashtbl.t;
   mutable next_fd : int;
+  mutable next_seq : int; (* the next pending buffer's [pseq] *)
   mutable txn : Txn.t option;
   pending_att : (int64, Fileatt.att) Hashtbl.t;
 }
@@ -116,43 +120,6 @@ let with_op s f =
 let p_begin s =
   if in_transaction s then Errors.fail Errors.ETXN "transaction already active";
   s.txn <- Some (Db.begin_txn s.owner_fs.db)
-
-let discard_all_pending s =
-  Hashtbl.iter (fun _ of_ -> of_.pending <- None) s.fds;
-  Hashtbl.reset s.pending_att
-
-(* forward declared: flush_pending needs write_at defined below *)
-let flush_pending_ref :
-    (session -> Txn.t -> open_file -> unit) ref =
-  ref (fun _ _ _ -> assert false)
-
-let p_commit s =
-  match s.txn with
-  | None -> Errors.fail Errors.ETXN "no transaction active"
-  | Some txn ->
-    translate_locks (fun () ->
-        Hashtbl.iter (fun _ of_ -> !flush_pending_ref s txn of_) s.fds;
-        flush_pending_atts s txn;
-        ignore (Txn.commit txn : int64);
-        s.txn <- None)
-
-let p_abort s =
-  match s.txn with
-  | None -> Errors.fail Errors.ETXN "no transaction active"
-  | Some txn ->
-    discard_all_pending s;
-    Txn.abort txn;
-    s.txn <- None
-
-let with_transaction s f =
-  p_begin s;
-  match f () with
-  | v ->
-    p_commit s;
-    v
-  | exception e ->
-    if in_transaction s then p_abort s;
-    raise e
 
 (* ---------- attribute access with session-pending overlay ---------- *)
 
@@ -223,6 +190,39 @@ let resolve_oid t snap path =
   match resolve_entry t snap path with
   | None -> if split_path path = [] then Some t.root_oid else None
   | Some e -> Some e.Naming.file
+
+(* Namespace locks.  The [naming] and [fileatt] catalogs lock rows, so
+   name uniqueness and "rmdir only empties" need locks of their own:
+   whoever creates, removes or renames onto a directory entry takes X on
+   the entry (parent, name) and IX on the parent directory, before
+   looking the name up; rmdir takes X on the directory it removes, which
+   conflicts with every uncommitted change inside it. *)
+let dir_resource oid = "dir:" ^ Int64.to_string oid
+
+let lock_entry txn ~parent ~name =
+  Txn.lock txn ~resource:(dir_resource parent) Relstore.Lock_mgr.Intent_exclusive;
+  Txn.lock txn
+    ~resource:("name:" ^ Int64.to_string parent ^ "/" ^ name)
+    Relstore.Lock_mgr.Exclusive
+
+(* Resolve [path]'s parent, lock its entry, then look the entry up. *)
+let locked_entry t txn snap path =
+  match split_path path with
+  | [] -> None (* "/" the root: no entry to lock *)
+  | _ ->
+    let parent, base = resolve_parent t snap path in
+    lock_entry txn ~parent ~name:base;
+    Naming.lookup t.naming snap ~parentid:parent ~name:base
+
+(* The parent and basename of a name about to be created, its entry
+   locked and checked free. *)
+let fresh_entry t txn snap path =
+  let parent, base = resolve_parent t snap path in
+  lock_entry txn ~parent ~name:base;
+  (match Naming.lookup t.naming snap ~parentid:parent ~name:base with
+  | Some _ -> Errors.fail Errors.EEXIST "%s" path
+  | None -> ());
+  (parent, base)
 
 (* ---------- construction ---------- *)
 
@@ -507,6 +507,7 @@ let new_session t =
     owner_fs = t;
     fds = Hashtbl.create 16;
     next_fd = 3;
+    next_seq = 0;
     txn = None;
     pending_att = Hashtbl.create 8;
   }
@@ -590,7 +591,56 @@ let flush_pending s txn of_ =
     write_at s txn of_ ~offset:p.pstart (Buffer.to_bytes p.pbuf);
     of_.pending <- None
 
-let () = flush_pending_ref := flush_pending
+(* Apply the buffers of every fd that [pick]s them, oldest first.  Any
+   operation that reads a file's bytes or size flushes that file's
+   buffers from every fd this way first; commit flushes them all. *)
+let flush_pending_where s txn pick =
+  Hashtbl.fold
+    (fun _ of_ acc ->
+      match of_.pending with Some p when pick of_ -> (p.pseq, of_) :: acc | _ -> acc)
+    s.fds []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.iter (fun (_, of_) -> flush_pending s txn of_)
+
+let flush_file s txn ~oid = flush_pending_where s txn (fun of_ -> Int64.equal of_.oid oid)
+
+(* Outside a transaction nothing is ever buffered. *)
+let flush_file_in_txn s ~oid =
+  match s.txn with
+  | Some txn -> translate_locks (fun () -> flush_file s txn ~oid)
+  | None -> ()
+
+let discard_all_pending s =
+  Hashtbl.iter (fun _ of_ -> of_.pending <- None) s.fds;
+  Hashtbl.reset s.pending_att
+
+let p_commit s =
+  match s.txn with
+  | None -> Errors.fail Errors.ETXN "no transaction active"
+  | Some txn ->
+    translate_locks (fun () ->
+        flush_pending_where s txn (fun _ -> true);
+        flush_pending_atts s txn;
+        ignore (Txn.commit txn : int64);
+        s.txn <- None)
+
+let p_abort s =
+  match s.txn with
+  | None -> Errors.fail Errors.ETXN "no transaction active"
+  | Some txn ->
+    discard_all_pending s;
+    Txn.abort txn;
+    s.txn <- None
+
+let with_transaction s f =
+  p_begin s;
+  match f () with
+  | v ->
+    p_commit s;
+    v
+  | exception e ->
+    if in_transaction s then p_abort s;
+    raise e
 
 let read_at t snap inv ~oid ~size ~pos buf len =
   let avail = Int64.sub size pos in
@@ -635,11 +685,7 @@ let p_creat s ?device ?(ftype = "unknown") ?(owner = "user") ?(compressed = fals
   let t = s.owner_fs in
   let oid =
     with_op s (fun txn ->
-        let snap = Txn.snapshot txn in
-        let parent, base = resolve_parent t snap path in
-        (match Naming.lookup t.naming snap ~parentid:parent ~name:base with
-        | Some _ -> Errors.fail Errors.EEXIST "%s" path
-        | None -> ());
+        let parent, base = fresh_entry t txn (Txn.snapshot txn) path in
         let oid = Db.allocate_oid t.db in
         let device = match device with Some d -> d | None -> default_device_name t in
         if Pagestore.Switch.find_opt (Db.switch t.db) device = None then
@@ -697,7 +743,7 @@ let p_open s ?timestamp path mode =
 
 let p_close s fd =
   let of_ = find_fd s fd in
-  if of_.pending <> None then with_op s (fun txn -> flush_pending s txn of_);
+  if of_.pending <> None then with_op s (fun txn -> flush_file s txn ~oid:of_.oid);
   if of_.hist_lease >= 0 then Db.release_lease s.owner_fs.db of_.hist_lease;
   Hashtbl.remove s.fds fd
 
@@ -721,8 +767,13 @@ let p_read s fd buf len =
       read_at t snap inv ~oid:of_.oid ~size:att.Fileatt.size ~pos:of_.pos buf len
     | None ->
       with_op s (fun txn ->
-          flush_pending s txn of_;
-          Relstore.Heap.read_lock (Inv_file.heap inv) txn;
+          flush_file s txn ~oid:of_.oid;
+          (* Only an explicit transaction read-locks the data heap (it
+             guards against write skew).  An auto-commit read needs no
+             lock: a write outside a transaction commits inside its own
+             request, and requests run one at a time, so the read's
+             snapshot holds exactly the last committed bytes. *)
+          if in_transaction s then Relstore.Heap.read_lock (Inv_file.heap inv) txn;
           let att =
             match session_att s txn ~oid:of_.oid with
             | Some a -> a
@@ -749,25 +800,41 @@ let p_write s fd buf len =
     (* auto-commit: each write is its own transaction, nothing coalesces *)
     with_op s (fun txn -> write_at s txn of_ ~offset:of_.pos data)
   | Some txn ->
-    (* coalesce sequential writes within the transaction *)
+    (* Coalesce sequential writes within the transaction, as long as no
+       other fd has buffered a later write to the same file: appending
+       then would apply these bytes before that one. *)
+    let newest p =
+      not
+        (Hashtbl.fold
+           (fun _ o later ->
+             later
+             || Int64.equal o.oid of_.oid
+                && match o.pending with Some q -> q.pseq > p.pseq | None -> false)
+           s.fds false)
+    in
     let appended =
       match of_.pending with
       | Some p
         when Int64.add p.pstart (Int64.of_int (Buffer.length p.pbuf)) = of_.pos
-             && Buffer.length p.pbuf < chunk_capacity ->
+             && Buffer.length p.pbuf < chunk_capacity
+             && newest p ->
         Buffer.add_bytes p.pbuf data;
         true
       | _ -> false
     in
     if not appended then begin
-      translate_locks (fun () -> flush_pending s txn of_);
-      let p = { pstart = of_.pos; pbuf = Buffer.create (min len chunk_capacity) } in
+      if of_.pending <> None then
+        translate_locks (fun () -> flush_file s txn ~oid:of_.oid);
+      let p =
+        { pstart = of_.pos; pbuf = Buffer.create (min len chunk_capacity); pseq = s.next_seq }
+      in
+      s.next_seq <- s.next_seq + 1;
       Buffer.add_bytes p.pbuf data;
       of_.pending <- Some p
     end;
     (match of_.pending with
     | Some p when Buffer.length p.pbuf >= chunk_capacity ->
-      translate_locks (fun () -> flush_pending s txn of_)
+      translate_locks (fun () -> flush_file s txn ~oid:of_.oid)
     | _ -> ()));
   of_.pos <- Int64.add of_.pos (Int64.of_int len);
   len
@@ -779,7 +846,7 @@ let ftruncate s fd new_size =
   if of_.mode <> Rdwr then Errors.fail Errors.EROFS "fd %d is read-only" fd;
   if Int64.compare new_size 0L < 0 then Errors.fail Errors.EINVAL "negative length";
   with_op s (fun txn ->
-      flush_pending s txn of_;
+      flush_file s txn ~oid:of_.oid;
       let inv = require_inv of_ in
       (* Truncation mutates file data even when it only grows the size
          attribute: the new tail reads as zeros, so concurrent chunk
@@ -838,6 +905,7 @@ let file_size_now s of_ =
   match of_.hist with
   | Some ts -> (att_of t (Snapshot.As_of ts) of_.oid).Fileatt.size
   | None ->
+    flush_file_in_txn s ~oid:of_.oid;
     with_op s (fun txn ->
         match session_att s txn ~oid:of_.oid with
         | Some a -> a.Fileatt.size
@@ -845,10 +913,7 @@ let file_size_now s of_ =
 
 let p_lseek s fd offset whence =
   let of_ = find_fd s fd in
-  if of_.pending <> None then
-    (match s.txn with
-    | Some txn -> translate_locks (fun () -> flush_pending s txn of_)
-    | None -> ());
+  if of_.pending <> None then flush_file_in_txn s ~oid:of_.oid;
   let base =
     match whence with
     | Seek_set -> 0L
@@ -876,11 +941,7 @@ let snapshot_for s timestamp =
 let mkdir s ?(owner = "user") path =
   let t = s.owner_fs in
   with_op s (fun txn ->
-      let snap = Txn.snapshot txn in
-      let parent, base = resolve_parent t snap path in
-      (match Naming.lookup t.naming snap ~parentid:parent ~name:base with
-      | Some _ -> Errors.fail Errors.EEXIST "%s" path
-      | None -> ());
+      let parent, base = fresh_entry t txn (Txn.snapshot txn) path in
       let oid = Db.allocate_oid t.db in
       ignore (Naming.insert t.naming txn ~parentid:parent ~file:oid ~name:base : Naming.entry);
       Fileatt.insert t.fileatt txn
@@ -914,6 +975,7 @@ let stat s ?timestamp path =
   | Some oid -> (
     match (timestamp, s.txn) with
     | None, Some _ -> (
+      flush_file_in_txn s ~oid;
       match Hashtbl.find_opt s.pending_att oid with
       | Some att -> att
       | None -> att_of t snap oid)
@@ -941,7 +1003,7 @@ let unlink s path =
   let t = s.owner_fs in
   with_op s (fun txn ->
       let snap = Txn.snapshot txn in
-      match resolve_entry t snap path with
+      match locked_entry t txn snap path with
       | None -> Errors.fail Errors.ENOENT "%s" path
       | Some e ->
         if is_dir (att_of t snap e.Naming.file) then Errors.fail Errors.EISDIR "%s" path;
@@ -953,11 +1015,12 @@ let rmdir s path =
   let t = s.owner_fs in
   with_op s (fun txn ->
       let snap = Txn.snapshot txn in
-      match resolve_entry t snap path with
+      match locked_entry t txn snap path with
       | None -> Errors.fail Errors.ENOENT "%s" path
       | Some e ->
         if not (is_dir (att_of t snap e.Naming.file)) then
           Errors.fail Errors.ENOTDIR "%s" path;
+        Txn.lock txn ~resource:(dir_resource e.Naming.file) Relstore.Lock_mgr.Exclusive;
         if Naming.list_dir t.naming snap ~parentid:e.Naming.file <> [] then
           Errors.fail Errors.ENOTEMPTY "%s" path;
         Naming.remove t.naming txn e;
@@ -967,13 +1030,10 @@ let rename s src dst =
   let t = s.owner_fs in
   with_op s (fun txn ->
       let snap = Txn.snapshot txn in
-      match resolve_entry t snap src with
+      match locked_entry t txn snap src with
       | None -> Errors.fail Errors.ENOENT "%s" src
       | Some e ->
-        let dparent, dbase = resolve_parent t snap dst in
-        (match Naming.lookup t.naming snap ~parentid:dparent ~name:dbase with
-        | Some _ -> Errors.fail Errors.EEXIST "%s" dst
-        | None -> ());
+        let dparent, dbase = fresh_entry t txn snap dst in
         Naming.remove t.naming txn e;
         ignore
           (Naming.insert t.naming txn ~parentid:dparent ~file:e.Naming.file ~name:dbase
@@ -1195,10 +1255,7 @@ let clone s ~src ~dst =
             in
             let src_att = att_of t snap src_oid in
             if is_dir src_att then Errors.fail Errors.EISDIR "%s" src;
-            let parent, base = resolve_parent t snap dst in
-            (match Naming.lookup t.naming snap ~parentid:parent ~name:base with
-            | Some _ -> Errors.fail Errors.EEXIST "%s" dst
-            | None -> ());
+            let parent, base = fresh_entry t txn snap dst in
             let chorizon = now_ts t in
             let oid = Db.allocate_oid t.db in
             let device =

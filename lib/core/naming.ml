@@ -33,6 +33,7 @@ let decode tid payload =
 
 let create db ?device () =
   let heap = Relstore.Db.create_relation db ~name:"naming" ?device () in
+  H.set_row_locked heap;
   let cache = Relstore.Db.cache db in
   let dev = H.device heap in
   {

@@ -8,6 +8,7 @@ type t = {
   mutable insert_hint : int; (* block most likely to have room *)
   mutable archive : t option;
   mutable append_only : bool; (* WORM archive tier: appends only, EROFS-like *)
+  mutable row_locked : bool; (* writers lock (relation IX, record oid X) *)
 }
 
 exception Append_only of string
@@ -23,7 +24,7 @@ type record = {
 let create ~cache ~device ~log ~name ~relid =
   let segid = Pagestore.Device.create_segment device in
   { cache; device; log; name; relid; segid; insert_hint = -1; archive = None;
-    append_only = false }
+    append_only = false; row_locked = false }
 
 let name t = t.name
 let rename t new_name = t.name <- new_name
@@ -56,6 +57,18 @@ let reject_if_append_only t op =
 
 let read_lock t txn = Txn.lock txn ~resource:(resource t) Lock_mgr.Shared
 let write_lock t txn = Txn.lock txn ~resource:(resource t) Lock_mgr.Exclusive
+
+let set_row_locked t = t.row_locked <- true
+let row_resource t ~oid = resource t ^ "#" ^ Int64.to_string oid
+
+(* The lock a write of record [oid] needs: the relation's X, or on a
+   row-locked heap IX on the relation plus X on the record's oid. *)
+let lock_for_write t txn ~oid =
+  if t.row_locked then begin
+    Txn.lock txn ~resource:(resource t) Lock_mgr.Intent_exclusive;
+    Txn.lock txn ~resource:(row_resource t ~oid) Lock_mgr.Exclusive
+  end
+  else write_lock t txn
 
 let with_page t blkno f =
   Pagestore.Bufcache.with_page t.cache t.device ~segid:t.segid ~blkno f
@@ -113,7 +126,7 @@ let m_scan = Obs.Metrics.counter "heap.scans"
 
 let insert t txn ~oid payload =
   reject_if_append_only t "Heap.insert";
-  write_lock t txn;
+  lock_for_write t txn ~oid;
   Cpu_model.charge_record_write (clock t) ~bytes:(Bytes.length payload);
   Obs.Metrics.incr m_insert;
   if Obs.on Obs.Heap then
@@ -165,11 +178,12 @@ let delete_stamped t txn (tid : Tid.t) r =
 
 let delete t txn (tid : Tid.t) =
   reject_if_append_only t "Heap.delete";
-  write_lock t txn;
-  Cpu_model.charge_record_write (clock t) ~bytes:0;
+  if not t.row_locked then write_lock t txn;
   match fetch_any t tid with
   | None -> raise Not_found
   | Some r ->
+    lock_for_write t txn ~oid:r.oid;
+    Cpu_model.charge_record_write (clock t) ~bytes:0;
     Obs.Metrics.incr m_delete;
     if Obs.on Obs.Heap then
       Obs.event Obs.Heap "heap.delete"
@@ -179,10 +193,11 @@ let delete t txn (tid : Tid.t) =
 
 let update t txn tid payload =
   reject_if_append_only t "Heap.update";
-  write_lock t txn;
+  if not t.row_locked then write_lock t txn;
   match fetch_any t tid with
   | None -> raise Not_found
   | Some old ->
+    lock_for_write t txn ~oid:old.oid;
     Cpu_model.charge_record_write (clock t) ~bytes:0;
     Obs.Metrics.incr m_update;
     if Obs.on Obs.Heap then

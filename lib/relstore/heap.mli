@@ -8,7 +8,10 @@
     original record is marked invalid, but remains in place."
 
     Writers take an exclusive two-phase lock on the relation; readers take
-    a shared lock.  All page traffic goes through the shared buffer cache,
+    a shared lock.  A {e row-locked} heap ({!set_row_locked}: the
+    [naming] and [fileatt] catalogs) instead has its writers take IX on
+    the relation and X on the record's oid, so writers of different
+    records coexist while a relation-level S or X still excludes them.  All page traffic goes through the shared buffer cache,
     so simulated I/O cost accrues naturally.
 
     A heap may have an {e archive} companion (populated by {!Vacuum}):
@@ -74,7 +77,8 @@ val arm_cache_policy : t -> unit
 
 val insert : t -> Txn.t -> oid:int64 -> bytes -> Tid.t
 (** Append a record version stamped [xmin = xid].  Takes the relation's
-    exclusive lock.  Payloads up to {!Heap_page.max_payload} bytes. *)
+    X lock, or on a row-locked heap IX on the relation and X on [oid].
+    Payloads up to {!Heap_page.max_payload} bytes. *)
 
 val delete : t -> Txn.t -> Tid.t -> unit
 (** Stamp [xmax = xid] on the version at [tid].  Raises [Not_found] if the
@@ -104,6 +108,11 @@ val read_lock : t -> Txn.t -> unit
 (** Take the relation's shared lock (two-phase read protection). *)
 
 val write_lock : t -> Txn.t -> unit
+(** Take the relation's exclusive lock. *)
+
+val set_row_locked : t -> unit
+(** Make writers lock rows instead of the relation.  The [naming] and
+    [fileatt] catalogs set it when they create their heaps. *)
 
 val scan : ?oid:int64 -> t -> Snapshot.t -> (record -> unit) -> unit
 (** All visible records in physical order; with [oid], only that oid's.

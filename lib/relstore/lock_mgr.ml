@@ -1,6 +1,25 @@
-type mode = Shared | Exclusive
+type mode = Shared | Intent_exclusive | Exclusive
 
-let mode_to_string = function Shared -> "shared" | Exclusive -> "exclusive"
+let mode_to_string = function
+  | Shared -> "shared"
+  | Intent_exclusive -> "intent-exclusive"
+  | Exclusive -> "exclusive"
+
+(* IX is what a row writer holds on the relation: row writers coexist,
+   while a relation-level reader (S) or writer (X) excludes them all. *)
+let compatible a b =
+  match (a, b) with
+  | Shared, Shared | Intent_exclusive, Intent_exclusive -> true
+  | _ -> false
+
+(* The mode a holder of [held] ends up with after also asking for
+   [want].  S and IX together cover both reading the whole relation and
+   writing some of its rows, which only X does. *)
+let combine held want =
+  match (held, want) with
+  | Shared, Shared -> Shared
+  | Intent_exclusive, Intent_exclusive -> Intent_exclusive
+  | _ -> Exclusive
 
 exception Would_block of { xid : Xid.t; resource : string; holders : Xid.t list }
 exception Deadlock of Xid.t
@@ -8,10 +27,11 @@ exception Deadlock of Xid.t
 exception Lock_timeout of { attempts : int; waited_s : float; blocked_on : string }
 
 type t = {
-  locks : (string, (Xid.t, mode) Hashtbl.t) Hashtbl.t; (* resource -> holders *)
+  locks : (string, (Xid.t, mode) Hashtbl.t) Hashtbl.t;
+      (* resource -> holders; a resource nobody holds has no entry *)
   wait_for : (Xid.t, Xid.t list) Hashtbl.t; (* waiter -> holders it waits on *)
   waiters : (string, (Xid.t, mode) Hashtbl.t) Hashtbl.t;
-      (* resource -> blocked requests; a pending Exclusive entry bars
+      (* resource -> blocked requests; a pending IX or X entry bars
          new Shared grants so a stream of readers cannot starve a
          writer (no barging) *)
   mutable release_gen : int;
@@ -45,14 +65,6 @@ let m_deadlocks = Obs.Metrics.counter "lock.deadlocks"
 let m_timeouts = Obs.Metrics.counter "lock.timeouts"
 let m_releases = Obs.Metrics.counter "lock.releases"
 
-let holders_table t resource =
-  match Hashtbl.find_opt t.locks resource with
-  | Some h -> h
-  | None ->
-    let h = Hashtbl.create 4 in
-    Hashtbl.replace t.locks resource h;
-    h
-
 let holders t ~resource =
   match Hashtbl.find_opt t.locks resource with
   | None -> []
@@ -68,6 +80,13 @@ let held_by t xid =
       | None -> acc)
     t.locks []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let holds_exclusive t xid =
+  Hashtbl.fold
+    (fun _ h acc ->
+      acc
+      || match Hashtbl.find_opt h xid with Some (Intent_exclusive | Exclusive) -> true | _ -> false)
+    t.locks false
 
 let waiting t xid = Option.value ~default:[] (Hashtbl.find_opt t.wait_for xid)
 
@@ -88,25 +107,20 @@ let reaches t start target =
 let conflicting_holders h xid mode =
   Hashtbl.fold
     (fun holder hmode acc ->
-      if holder = xid then acc
-      else
-        match (mode, hmode) with
-        | Shared, Shared -> acc
-        | Shared, Exclusive | Exclusive, Shared | Exclusive, Exclusive -> holder :: acc)
+      if holder = xid || compatible mode hmode then acc else holder :: acc)
     h []
   |> List.sort Xid.compare
 
-(* Pending Exclusive requests on [resource] from other transactions.
-   A new Shared request must queue behind them: without this, a steady
+(* Pending IX and X requests on [resource] from other transactions.  A
+   new Shared request must queue behind them: without this, a steady
    stream of readers keeps the resource share-locked forever and the
    writer starves. *)
-let exclusive_waiters t xid resource =
+let writer_waiters t xid resource =
   match Hashtbl.find_opt t.waiters resource with
   | None -> []
   | Some w ->
     Hashtbl.fold
-      (fun wxid wmode acc ->
-        if wxid <> xid && wmode = Exclusive then wxid :: acc else acc)
+      (fun wxid wmode acc -> if wxid <> xid && wmode <> Shared then wxid :: acc else acc)
       w []
     |> List.sort Xid.compare
 
@@ -128,25 +142,28 @@ let record_waiter t xid resource mode =
   in
   Hashtbl.replace w xid mode
 
-let acquire t xid ~resource mode =
-  let h = holders_table t resource in
-  let already =
-    match Hashtbl.find_opt h xid with
-    | Some Exclusive -> true (* exclusive covers both requests *)
-    | Some Shared -> mode = Shared
-    | None -> false
-  in
-  if not already then begin
+let acquire t xid ~resource want =
+  let h = Hashtbl.find_opt t.locks resource in
+  let held = Option.bind h (fun h -> Hashtbl.find_opt h xid) in
+  let mode = match held with Some m -> combine m want | None -> want in
+  if held <> Some mode then begin
     let barred =
       (* Holders re-acquiring never queue behind waiters (that would
          deadlock the holder on its own lock); only fresh Shared
          requests defer to a pending writer. *)
-      if mode = Shared && not (Hashtbl.mem h xid) then
-        exclusive_waiters t xid resource
-      else []
+      if mode = Shared && held = None then writer_waiters t xid resource else []
     in
-    match (conflicting_holders h xid mode, barred) with
+    let conflicts = match h with Some h -> conflicting_holders h xid mode | None -> [] in
+    match (conflicts, barred) with
     | [], [] ->
+      let h =
+        match h with
+        | Some h -> h
+        | None ->
+          let h = Hashtbl.create 4 in
+          Hashtbl.replace t.locks resource h;
+          h
+      in
       Hashtbl.replace h xid mode;
       drop_waiter t xid resource;
       Hashtbl.remove t.wait_for xid;
@@ -249,7 +266,16 @@ let release_generation t = t.release_gen
 let release_all t xid =
   t.release_gen <- t.release_gen + 1;
   Obs.Metrics.incr m_releases;
-  Hashtbl.iter (fun _ h -> Hashtbl.remove h xid) t.locks;
+  (* A resource nobody holds any more loses its entry, so [locks] stays
+     the size of what is locked now, not of every row ever locked. *)
+  let freed =
+    Hashtbl.fold
+      (fun resource h acc ->
+        Hashtbl.remove h xid;
+        if Hashtbl.length h = 0 then resource :: acc else acc)
+      t.locks []
+  in
+  List.iter (Hashtbl.remove t.locks) freed;
   Hashtbl.remove t.wait_for xid;
   (* A transaction that ends while blocked abandons its queue spot, so
      a dead writer cannot bar readers forever. *)

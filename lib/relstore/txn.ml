@@ -136,13 +136,9 @@ let commit t =
   require_active t "commit";
   let mgr = t.mgr in
   let t0 = Simclock.Clock.now mgr.clock in
-  (* A transaction that held no exclusive lock wrote nothing: its commit
+  (* A transaction that held no IX or X lock wrote nothing: its commit
      needs neither a data flush nor a forced status write. *)
-  let wrote =
-    List.exists
-      (fun (_, mode) -> mode = Lock_mgr.Exclusive)
-      (Lock_mgr.held_by t.mgr.locks t.txn_xid)
-  in
+  let wrote = Lock_mgr.holds_exclusive t.mgr.locks t.txn_xid in
   let grouped = Status_log.group_size mgr.log > 1 in
   (* Will this commit fill the batch?  Decided before the status write:
      the force's real device I/O (deferred index apply + data flush) must

@@ -26,9 +26,11 @@ let default_config =
   }
 
 (* Client-side fd state: the position (reads and writes carry explicit
-   offsets) and whether the fd reads a past instant, whose close must
-   release the server's vacuum lease before [c_close] returns. *)
-type fd_state = { pos : int64 ref; as_of : bool }
+   offsets), whether the fd reads a past instant, whose close must
+   release the server's vacuum lease before [c_close] returns, and the
+   transaction (by [txn_gen]) that last wrote through it, whose close
+   flushes buffered writes and so can fail. *)
+type fd_state = { pos : int64 ref; as_of : bool; mutable wrote_in : int }
 
 type t = {
   server : Server.t;
@@ -40,6 +42,8 @@ type t = {
   asm : Wire.Assembly.t;
   fds : (int, fd_state) Hashtbl.t;
   mutable held : int list; (* closes to carry on the next request, newest first *)
+  mutable held_begin : bool; (* a Begin to carry on the next request *)
+  mutable txn_gen : int; (* bumped by every c_begin *)
   mutable sid : int64; (* 0 = no session *)
   mutable next_rid : int64;
   mutable in_txn : bool;
@@ -54,10 +58,14 @@ type t = {
   mutable deadline_failfasts : int;
   mutable budget_denials : int;
   mutable closes_held : int;
+  mutable begins_held : int;
 }
 
 let sid t = t.sid
-let in_txn t = t.in_txn
+(* A held Begin is an open transaction: the server opens it with the
+   request that carries it. *)
+let in_txn t = t.in_txn || t.held_begin
+let begin_held t = t.held_begin
 let link t = t.link
 let retries t = t.retries
 let timeouts t = t.timeouts
@@ -67,6 +75,7 @@ let overloaded t = t.overloaded
 let deadline_failfasts t = t.deadline_failfasts
 let budget_denials t = t.budget_denials
 let closes_held t = t.closes_held
+let begins_held t = t.begins_held
 
 (* Deadline propagation is opt-in, per client: an installed deadline
    rides every request's frame header as an absolute simulated-clock
@@ -299,8 +308,9 @@ let session_dead t =
   t.in_txn <- false;
   Hashtbl.reset t.fds;
   (* fd numbers restart on the next session: a held close must never
-     reach it *)
+     reach it, nor a held Begin open a transaction there *)
   t.held <- [];
+  t.held_begin <- false;
   (* connection teardown: like a TCP reset, abandoning the session also
      discards everything still in flight on the wire.  Without this a
      stale request from the dead session (delayed by a reorder or
@@ -339,15 +349,16 @@ let deadline_exempt = function
   | Wire.Abort | Wire.Bye | Wire.Crash_server -> true
   | _ -> false
 
-(* Close-behind: held closes ride in front of the session's next
-   request.  The compound is built once per call, so every retry of the
-   request id carries the same closes. *)
+(* Close-behind: held closes and a held Begin ride in front of the
+   session's next request.  The compound is built once per call, so
+   every retry of the request id carries the same closes and Begin. *)
 let carry t req =
-  if t.held = [] || Wire.control_plane req then req
+  if (t.held = [] && not t.held_begin) || Wire.control_plane req then req
   else begin
-    let closes = List.rev t.held in
+    let closes = List.rev t.held and begin_txn = t.held_begin in
     t.held <- [];
-    Wire.Carry { closes; req }
+    t.held_begin <- false;
+    Wire.Carry { begin_txn; closes; req }
   end
 
 let rec rpc ?(pipelined = false) ?(reissued = false) t req =
@@ -368,23 +379,35 @@ let rec rpc ?(pipelined = false) ?(reissued = false) t req =
    end);
   if t.sid = 0L && not (reconnect t) then give_up t ~was_txn:false req
   else begin
-    let was_txn = t.in_txn in
+    let was_txn = in_txn t and began = t.held_begin in
     let rid = fresh_rid t in
     let wire_req = carry t req in
-    match exchange t ~sid:t.sid ~rid ~pipelined wire_req with
-    | None ->
-      (* every retry timed out: the path or the server is gone.  If a probe
-         gets through the server is up and our session state decides what
-         this meant; otherwise the session is unrecoverable. *)
-      if probe_alive t then
-        match exchange t ~sid:t.sid ~rid ~pipelined:false wire_req with
-        | Some reply -> finish t ~was_txn ~reissued ~pipelined req reply
-        | None -> give_up t ~was_txn req
-      else give_up t ~was_txn req
-    | Some reply -> finish t ~was_txn ~reissued ~pipelined req reply
+    try
+      match exchange t ~sid:t.sid ~rid ~pipelined wire_req with
+      | None ->
+        (* every retry timed out: the path or the server is gone.  If a probe
+           gets through the server is up and our session state decides what
+           this meant; otherwise the session is unrecoverable. *)
+        if probe_alive t then
+          match exchange t ~sid:t.sid ~rid ~pipelined:false wire_req with
+          | Some reply -> finish t ~was_txn ~began ~reissued ~pipelined req reply
+          | None -> give_up t ~was_txn req
+        else give_up t ~was_txn req
+      | Some reply -> finish t ~was_txn ~began ~reissued ~pipelined req reply
+    with
+    | Errors.Fs_error ((Errors.EBUSY | Errors.ESTALE | Errors.ENOTSUP | Errors.ETIMEDOUT), _)
+      as e
+      when began && t.sid <> 0L && not t.in_txn ->
+      (* The server refused the compound without running it (shed, wrong
+         shard, version skew, deadline) and holds no transaction for us:
+         the Begin it carried never ran, so the caller's transaction is
+         still only that Begin.  Hold it again.  The closes are not: the
+         server ran them when it first saw the request id. *)
+      t.held_begin <- true;
+      raise e
   end
 
-and finish t ~was_txn ~reissued ~pipelined req reply =
+and finish t ~was_txn ~began ~reissued ~pipelined req reply =
   match reply with
   | Wire.Ok_reply { txn_open; result } ->
     t.in_txn <- txn_open;
@@ -421,9 +444,23 @@ and finish t ~was_txn ~reissued ~pipelined req reply =
     (* the server lost our session: it crashed, or our lease expired.
        Reconnect; then decide what the caller may be told. *)
     session_dead t;
-    if vacuous_after_loss ~was_txn req then Wire.R_unit
-      (* the dying session took the transaction (and every fd) with it *)
+    (* A transaction that was only the Begin this request carried ran
+       nothing before the session died (whatever the request did there
+       died uncommitted with it), so it survives as a held Begin and the
+       request is reissued with it, whatever its kind — just as a Begin
+       of its own would have been reissued before it. *)
+    let fresh_txn = began && not reissued in
+    if vacuous_after_loss ~was_txn:(was_txn && not fresh_txn) req then begin
+      (* the dying session took the transaction (and every fd) with it,
+         unless that was only the carried Begin *)
+      t.held_begin <- fresh_txn;
+      Wire.R_unit
+    end
     else if not (reconnect t) then give_up t ~was_txn req
+    else if fresh_txn then begin
+      t.held_begin <- true;
+      rpc ~pipelined ~reissued:true t req
+    end
     else if was_txn && req <> Wire.Commit then
       conn_reset
         (Printf.sprintf "session lost during %s; transaction aborted" (Wire.req_name req))
@@ -448,6 +485,8 @@ let connect ?(config = default_config) ~server ~link ~rng () =
       asm = Wire.Assembly.create ();
       fds = Hashtbl.create 8;
       held = [];
+      held_begin = false;
+      txn_gen = 0;
       sid = 0L;
       next_rid = 1L;
       in_txn = false;
@@ -462,6 +501,7 @@ let connect ?(config = default_config) ~server ~link ~rng () =
       deadline_failfasts = 0;
       budget_denials = 0;
       closes_held = 0;
+      begins_held = 0;
     }
   in
   Server.attach server link;
@@ -470,6 +510,7 @@ let connect ?(config = default_config) ~server ~link ~rng () =
      wins, matching the registry's replace-on-register rule. *)
   Obs.Metrics.probe "net.client.retries" (fun () -> t.retries);
   Obs.Metrics.probe "net.client.closes_held" (fun () -> t.closes_held);
+  Obs.Metrics.probe "net.client.begins_held" (fun () -> t.begins_held);
   Obs.Metrics.probe "net.client.timeouts" (fun () -> t.timeouts);
   Obs.Metrics.probe "net.client.reconnects" (fun () -> t.reconnects);
   Obs.Metrics.probe "net.client.sessions_lost" (fun () -> t.sessions_lost);
@@ -502,29 +543,48 @@ let fd_of t fd =
 
 let pos_of t fd = (fd_of t fd).pos
 
-let c_begin t = expect_unit (rpc t Wire.Begin)
+(* A Begin has no outcome to wait for either: it is held and carried on
+   the session's next request, which the server runs inside the new
+   transaction.  While the server's last word was "transaction open" the
+   Begin is sent as before, and the server decides: that transaction may
+   have died with the session. *)
+let c_begin t =
+  if t.held_begin then Errors.fail Errors.ETXN "transaction already active";
+  if t.in_txn then expect_unit (rpc t Wire.Begin)
+  else begin
+    t.held_begin <- true;
+    t.begins_held <- t.begins_held + 1
+  end;
+  t.txn_gen <- t.txn_gen + 1
+
 let c_commit t = expect_unit (rpc t Wire.Commit)
-let c_abort t = expect_unit (rpc t Wire.Abort)
+
+(* Aborting a transaction the server has not opened yet is dropping the
+   held Begin. *)
+let c_abort t =
+  if t.held_begin then t.held_begin <- false else expect_unit (rpc t Wire.Abort)
 
 let c_creat t ?device ?ftype ?(compressed = false) path =
   let fd = expect_fd (rpc t (Wire.Creat { path; device; ftype; compressed })) in
-  Hashtbl.replace t.fds fd { pos = ref 0L; as_of = false };
+  Hashtbl.replace t.fds fd { pos = ref 0L; as_of = false; wrote_in = -1 };
   fd
 
 let c_open t ?timestamp path mode =
   let mode = match mode with Fs.Rdonly -> 0 | Fs.Rdwr -> 1 in
   let fd = expect_fd (rpc t (Wire.Open { path; mode; timestamp })) in
-  Hashtbl.replace t.fds fd { pos = ref 0L; as_of = timestamp <> None };
+  Hashtbl.replace t.fds fd { pos = ref 0L; as_of = timestamp <> None; wrote_in = -1 };
   fd
 
-(* Outside a transaction a close has no outcome to wait for, so it is
-   held and carried on the session's next request.  Inside one it
-   flushes buffered writes and can fail, and an [As_of] fd's close
-   releases a vacuum lease: both keep their round trip, as does a close
-   that would push the carried list past its cap. *)
+(* A close has no outcome to wait for unless it flushes writes buffered
+   in the current transaction, so it is held and carried on the
+   session's next request.  A close of an fd written in the open
+   transaction can fail, and an [As_of] fd's close releases a vacuum
+   lease: both keep their round trip, as does a close that would push
+   the carried list past its cap. *)
 let c_close t fd =
   let st = fd_of t fd in
-  if t.in_txn || st.as_of || List.length t.held >= Wire.max_carried_closes then
+  let flushes = in_txn t && st.wrote_in = t.txn_gen in
+  if flushes || st.as_of || List.length t.held >= Wire.max_carried_closes then
     expect_unit (rpc t (Wire.Close { fd }))
   else begin
     t.held <- fd :: t.held;
@@ -543,7 +603,9 @@ let c_read t fd buf len =
   | _ -> Errors.fail Errors.EINVAL "remote: malformed reply"
 
 let c_write t fd buf len =
-  let pos = pos_of t fd in
+  let st = fd_of t fd in
+  let pos = st.pos in
+  if in_txn t then st.wrote_in <- t.txn_gen;
   let data = Bytes.sub_string buf 0 len in
   let n = expect_int (rpc ~pipelined:true t (Wire.Write { fd; off = !pos; data })) in
   pos := Int64.add !pos (Int64.of_int len);

@@ -27,8 +27,9 @@
     decides (the Nettest harness resolves it with a lock-free time-travel
     probe of the committed state).
 
-    A close outside a transaction is not an exchange of its own: it is
-    held and carried on the session's next request ({!c_close}).
+    A Begin, and a close that has nothing buffered to flush, are not
+    exchanges of their own: they are held and carried on the session's
+    next request ({!c_begin}, {!c_close}).
 
     File positions are client-side state: seeks are free of round trips
     (except [Seek_end], which asks the server for the size) and every
@@ -81,6 +82,13 @@ val connect :
 
 val sid : t -> int64
 val in_txn : t -> bool
+(** A transaction is open on the server, or a Begin is held for the
+    next request. *)
+
+val begin_held : t -> bool
+(** The open transaction is a Begin not sent yet: nothing has run in
+    it, and no server state (a crash, say) can have touched it. *)
+
 val link : t -> Netsim.Link.t
 
 val set_deadline : t -> float option -> unit
@@ -94,17 +102,33 @@ val deadline : t -> float option
 (** {2 The client library} *)
 
 val c_begin : t -> unit
+(** Sends nothing: the Begin is held and the session's next request
+    carries it ({!Wire.Carry}); the server runs that request inside the
+    new transaction.  [ETXN] with a Begin already held; with a
+    transaction open it is sent, as before, and the server answers
+    ([ETXN], or a reset if the transaction died).  A held Begin counts
+    as an open transaction everywhere, {!in_txn} included.  It survives
+    a call the server refused without running it ([EBUSY], [ESTALE],
+    [ENOTSUP], a deadline [ETIMEDOUT]): the Begin is held again.  A
+    call that carried it and met a lost session is reissued with it on
+    a fresh session; once the Begin has reached the server, a lost
+    session reports "transaction aborted". *)
+
 val c_commit : t -> unit
+
 val c_abort : t -> unit
+(** With only a Begin held, drops it and sends nothing. *)
+
 val c_creat : t -> ?device:string -> ?ftype:string -> ?compressed:bool -> string -> int
 val c_open : t -> ?timestamp:int64 -> string -> Invfs.Fs.open_mode -> int
 val c_close : t -> int -> unit
-(** Outside a transaction, on an fd not opened [?timestamp], the close
-    is {e held}: nothing is sent, and the session's next request carries
-    it ({!Wire.Carry}).  Inside a transaction, on an [As_of] fd, or with
-    {!Wire.max_carried_closes} closes already held, it is a round trip
-    that also carries whatever is held.  Held closes die with their
-    session. *)
+(** On an fd not opened [?timestamp] and not written through in the
+    open transaction (so the server-side close has nothing buffered to
+    flush and cannot fail), the close is {e held}: nothing is sent, and
+    the session's next request carries it ({!Wire.Carry}).  Otherwise,
+    or with {!Wire.max_carried_closes} closes already held, it is a
+    round trip that also carries whatever is held.  Held closes die with
+    their session. *)
 
 val c_read : t -> int -> bytes -> int -> int
 (** Read at the (client-tracked) file position into the buffer prefix. *)
@@ -215,3 +239,7 @@ val budget_denials : t -> int
 val closes_held : t -> int
 (** Closes held for a later request instead of sent on their own
     (probe ["net.client.closes_held"]). *)
+
+val begins_held : t -> int
+(** Begins held for a later request instead of sent on their own
+    (probe ["net.client.begins_held"]). *)

@@ -23,6 +23,7 @@ type task = {
   tk_sid : int64;
   tk_rid : int64;
   tk_req : Wire.req;
+  mutable tk_begin : bool; (* a carried Begin not yet run *)
   tk_deadline : float; (* absolute seconds; infinity = none *)
   tk_enq : float;
   mutable tk_park_deadline : float; (* lock-wait timer, set when parked *)
@@ -118,6 +119,7 @@ type t = {
   mutable unsupported : int;
   mutable group_defers : int;
   mutable closes_carried : int;
+  mutable begins_carried : int;
   (* Simulated seconds this machine spent inside [pump] — its share of
      the one global clock.  A cluster bench on a single simulated clock
      cannot observe parallelism directly, so scale-out throughput is
@@ -174,6 +176,7 @@ let create ~fs ?(lease_s = 120.) ?(dedup_window = 16) ?(run_cap = 256)
       unsupported = 0;
       group_defers = 0;
       closes_carried = 0;
+      begins_carried = 0;
       busy_s = 0.;
     }
   in
@@ -206,6 +209,7 @@ let parked_now t = t.parked_n
 let run_queue_depth t = Queue.length t.run_q
 let group_defers t = t.group_defers
 let closes_carried t = t.closes_carried
+let begins_carried t = t.begins_carried
 let vacuum_steps t = t.vacuum_steps
 
 let attach t link = if not (List.memq link t.links) then t.links <- link :: t.links
@@ -517,6 +521,7 @@ let m_park_timeouts = Obs.Metrics.counter "net.server.park_timeouts"
 let m_deadlock_aborts = Obs.Metrics.counter "net.server.deadlock_aborts"
 let m_unsupported = Obs.Metrics.counter "net.server.unsupported"
 let m_closes_carried = Obs.Metrics.counter "net.server.closes_carried"
+let m_begins_carried = Obs.Metrics.counter "net.server.begins_carried"
 
 (* Pure execution time per dispatched request (simulated clock around
    [exec], excluding wire time and dedup replays).  The load harness
@@ -591,8 +596,17 @@ let run_task t (tk : task) ~(was_parked : bool) =
     end
     else begin
       let t0 = now in
+      (* A carried Begin runs with the request it rides on, once: a
+         parked re-execution finds it already run. *)
+      let began = tk.tk_begin in
       let outcome =
-        match exec t s tk.tk_req with
+        match
+          if began then begin
+            tk.tk_begin <- false;
+            Fs.p_begin s.fsess
+          end;
+          exec t s tk.tk_req
+        with
         | result -> `Reply (Wire.Ok_reply { txn_open = Fs.in_transaction s.fsess; result })
         | exception Errors.Fs_error (Errors.EAGAIN, msg) ->
           (* Park only work that can wait with its deadline intact: the
@@ -632,6 +646,16 @@ let run_task t (tk : task) ~(was_parked : bool) =
                })
       in
       Obs.Metrics.observe h_service (now_s t -. t0);
+      (* An answer that is not recorded means "not executed": the
+         client re-offers the whole compound, so a Begin run here is
+         rolled back and runs again with the re-offer. *)
+      (if began then
+         match outcome with
+         | `Shed_park_full | `Wrong_shard _ | `Handoff_busy ->
+           if Fs.in_transaction s.fsess then (try Fs.p_abort s.fsess with _ -> ())
+         | `Reply _ | `Park _ ->
+           t.begins_carried <- t.begins_carried + 1;
+           Obs.Metrics.incr m_begins_carried);
       match outcome with
       | `Reply reply ->
         (if was_parked then begin
@@ -764,7 +788,7 @@ let run_carried_closes t (s : sess) closes =
       try Fs.p_close s.fsess fd with Errors.Fs_error _ -> ())
     closes
 
-let handle ?(closes = []) t link ~(h : Wire.hdr) req =
+let handle ?(begin_txn = false) ?(closes = []) t link ~(h : Wire.hdr) req =
   let sid = h.sid and rid = h.rid in
   t.requests <- t.requests + 1;
   Obs.Metrics.incr m_requests;
@@ -904,6 +928,7 @@ let handle ?(closes = []) t link ~(h : Wire.hdr) req =
               tk_sid = sid;
               tk_rid = rid;
               tk_req = req;
+              tk_begin = begin_txn;
               tk_deadline = deadline;
               tk_enq = now;
               tk_park_deadline = infinity;
@@ -946,7 +971,7 @@ let process t link frame =
           t.unsupported <- t.unsupported + 1;
           Obs.Metrics.incr m_unsupported;
           reply_now link ~sid:h.sid ~rid:h.rid (Wire.Unsupported { opcode }))
-      | `Req (Wire.Carry { closes; req }) -> handle ~closes t link ~h req
+      | `Req (Wire.Carry { begin_txn; closes; req }) -> handle ~begin_txn ~closes t link ~h req
       | `Req req -> handle t link ~h req))
 
 (* Group-commit service at the end of a pump turn.  Every request that

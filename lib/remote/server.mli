@@ -242,5 +242,14 @@ val closes_carried : t -> int
     nor answered.  A compound shed and then re-offered counts twice; the
     second close is a no-op. *)
 
+val begins_carried : t -> int
+(** Begins run from {!Wire.Carry} compounds and kept (counter
+    ["net.server.begins_carried"]).  A carried Begin runs after the
+    admission, deadline and shed decisions, together with the request it
+    rides on, at most once per admitted request id: a parked
+    re-execution does not repeat it.  An answer that is not recorded
+    (shed because parking was full, wrong shard) rolls it back
+    uncounted, so the re-offered compound runs it afresh. *)
+
 val vacuum_steps : t -> int
 (** Background-vacuum increments this server has run (timer slot). *)

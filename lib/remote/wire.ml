@@ -137,7 +137,7 @@ type req =
   | Snapshot
   | Clone of { src : string; dst : string }
   | Vacuum_step of { pages : int }
-  | Carry of { closes : int list; req : req }
+  | Carry of { begin_txn : bool; closes : int list; req : req }
 
 (* Close-behind: at most this many fds ride in front of one request. *)
 let max_carried_closes = 16
@@ -196,20 +196,27 @@ let rec req_name = function
   | Vacuum_step _ -> "vacuum_step"
   | Carry { req; _ } -> req_name req
 
-(* A compound's prefix: the opcode, the count, then the fds.  The
-   carried request's own encoding follows it unchanged. *)
-let encode_carry_prefix closes =
+(* A compound's prefix: the opcode, the Begin flag (one byte), the count
+   (three bytes), then the fds.  Flag and count fill the four bytes a
+   close-only compound always spent on its count, so carrying a Begin
+   costs no extra byte.  The carried request's own encoding follows the
+   prefix unchanged. *)
+let encode_carry_prefix ~begin_txn closes =
   let b = Buffer.create 16 in
+  let n = List.length closes in
   put_u8 b 37;
-  put_i32 b (List.length closes);
+  put_bool b begin_txn;
+  put_u8 b (n lsr 16);
+  put_u8 b (n lsr 8);
+  put_u8 b n;
   List.iter (put_i32 b) closes;
   Buffer.contents b
 
 let rec encode_req_payload req =
   let b = Buffer.create 64 in
   (match req with
-  | Carry { closes; req } ->
-    Buffer.add_string b (encode_carry_prefix closes);
+  | Carry { begin_txn; closes; req } ->
+    Buffer.add_string b (encode_carry_prefix ~begin_txn closes);
     Buffer.add_string b (encode_req_payload req)
   | Hello -> put_u8 b 1
   | Bye -> put_u8 b 2
@@ -446,12 +453,18 @@ let rec decode_req c ~nested =
   | 37 ->
     (* a compound nests one level, around a session request *)
     if nested then raise Decode;
-    let n = get_i32 c in
-    if n < 0 || n > max_carried_closes then raise Decode;
+    let begin_txn =
+      match get_u8 c with 0 -> false | 1 -> true | _ -> raise Decode
+    in
+    let n0 = get_u8 c in
+    let n1 = get_u8 c in
+    let n = (n0 lsl 16) lor (n1 lsl 8) lor get_u8 c in
+    if n > max_carried_closes then raise Decode;
     let closes = List.init n (fun _ -> get_i32 c) in
     let req = decode_req c ~nested:true in
-    if control_plane req then raise Decode;
-    Carry { closes; req }
+    (* at most one Begin per compound *)
+    if control_plane req || (begin_txn && req = Begin) then raise Decode;
+    Carry { begin_txn; closes; req }
   | op -> raise (Unknown_opcode op)
 
 let decode_request_any payload =
@@ -787,7 +800,7 @@ let encode_request ?(retry = false) ?(deadline_us = 0L) ~sid ~rid req =
      or a trailer. *)
   let prefix, req =
     match req with
-    | Carry { closes; req } -> (encode_carry_prefix closes, req)
+    | Carry { begin_txn; closes; req } -> (encode_carry_prefix ~begin_txn closes, req)
     | req -> ("", req)
   in
   let payload = encode_req_payload req in

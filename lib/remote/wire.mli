@@ -110,12 +110,15 @@ type req =
   | Vacuum_step of { pages : int }
       (** run one budgeted increment of the concurrent archive vacuum;
           the reply is the number of record versions scanned *)
-  | Carry of { closes : int list; req : req }
+  | Carry of { begin_txn : bool; closes : int list; req : req }
       (** close-behind: close [closes] (at most {!max_carried_closes}
-          fds of this session), then run [req].  Frames exactly as [req]
-          does and is answered by [req]'s reply.  [req] may be neither a
-          compound nor {!control_plane}; the decoder rejects either, and
-          a count above the cap, as malformed. *)
+          fds of this session), then, when [begin_txn], begin a
+          transaction, then run [req] (inside it).  Frames exactly as
+          [req] does and is answered by [req]'s reply.  [req] may be
+          neither a compound nor {!control_plane}, nor [Begin] when
+          [begin_txn] is set; the decoder rejects any of these, a flag
+          byte other than 0 or 1, and a count above the cap, as
+          malformed. *)
 
 val max_carried_closes : int
 (** 16. *)

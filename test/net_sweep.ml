@@ -46,11 +46,12 @@ let () =
     | None -> (if quick then quick_seeds else base_seeds) @ env_seeds ()
   in
   let failed = ref 0 in
-  let carried = ref 0 in
+  let carried = ref 0 and begins = ref 0 in
   List.iter
     (fun seed ->
       let o = Benchlib.Nettest.run ~config ~seed () in
       carried := !carried + o.Benchlib.Nettest.closes_carried;
+      begins := !begins + o.Benchlib.Nettest.begins_carried;
       Printf.printf "%s\n%!" (Benchlib.Nettest.outcome_to_string o);
       List.iter
         (fun m ->
@@ -59,10 +60,15 @@ let () =
         o.Benchlib.Nettest.mismatches)
     seeds;
   Printf.printf "closes carried: %d\n%!" !carried;
-  (* The fault schedules must reach the close-behind path, or the sweep
-     says nothing about it. *)
+  Printf.printf "begins carried: %d\n%!" !begins;
+  (* The fault schedules must reach the close-behind path, for closes
+     and Begins alike, or the sweep says nothing about it. *)
   if !carried = 0 then begin
     Printf.eprintf "net_sweep: no close was carried on a later request\n";
+    exit 1
+  end;
+  if !begins = 0 then begin
+    Printf.eprintf "net_sweep: no Begin was carried on a later request\n";
     exit 1
   end;
   if !failed > 0 then begin

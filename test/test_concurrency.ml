@@ -94,15 +94,67 @@ let test_deadlock_detected () =
   Fs.p_commit s1;
   Alcotest.(check string) "s1 won" "b1" (str (Fs.read_whole_file s2 "/b"))
 
+(* The catalogs lock rows, and names are locked on their own: creates
+   of different names in one directory proceed together, while every
+   conflict a name or a directory can have still surfaces. *)
 let test_namespace_lock_conflicts () =
   let _, s1, s2 = fresh () in
+  Fs.mkdir s1 "/d";
+  (* (a) different names in one directory: no false conflict *)
   Fs.p_begin s1;
-  Fs.mkdir s1 "/dir";
-  (* the naming relation is exclusively locked until commit *)
-  expect_error E.EAGAIN (fun () -> Fs.mkdir s2 "/other");
+  Fs.p_begin s2;
+  Fs.mkdir s1 "/d/a";
+  Fs.p_close s2 (Fs.p_creat s2 "/d/b");
   Fs.p_commit s1;
-  Fs.mkdir s2 "/other";
-  Alcotest.(check (list string)) "both exist" [ "dir"; "other" ] (Fs.readdir s2 "/")
+  Fs.p_commit s2;
+  Alcotest.(check (list string)) "both created" [ "a"; "b" ] (Fs.readdir s2 "/d");
+  (* (b) the same name: EAGAIN while the first creator is uncommitted,
+     EEXIST once it commits *)
+  Fs.p_begin s1;
+  Fs.mkdir s1 "/d/c";
+  Fs.p_begin s2;
+  expect_error E.EAGAIN (fun () -> Fs.mkdir s2 "/d/c");
+  Fs.p_abort s2;
+  Fs.p_commit s1;
+  expect_error E.EEXIST (fun () -> Fs.mkdir s2 "/d/c");
+  (* (c) rmdir against an uncommitted create inside the directory, in
+     either order *)
+  Fs.mkdir s1 "/e";
+  Fs.p_begin s1;
+  Fs.mkdir s1 "/e/x";
+  expect_error E.EAGAIN (fun () -> Fs.rmdir s2 "/e");
+  Fs.p_abort s1;
+  Fs.p_begin s2;
+  Fs.rmdir s2 "/e";
+  Fs.p_begin s1;
+  expect_error E.EAGAIN (fun () -> Fs.mkdir s1 "/e/y");
+  Fs.p_abort s1;
+  Fs.p_commit s2;
+  expect_error E.ENOENT (fun () -> Fs.mkdir s1 "/e/y");
+  (* (d) rename onto a name being created conflicts *)
+  Fs.write_file s1 "/src" (bytes_of "s");
+  Fs.p_begin s1;
+  Fs.p_close s1 (Fs.p_creat s1 "/d/new");
+  expect_error E.EAGAIN (fun () -> Fs.rename s2 "/src" "/d/new");
+  Fs.p_commit s1;
+  expect_error E.EEXIST (fun () -> Fs.rename s2 "/src" "/d/new");
+  Alcotest.(check (list string)) "final names" [ "a"; "b"; "c"; "new" ] (Fs.readdir s2 "/d")
+
+let test_autocommit_read_needs_no_lock () =
+  let _, s1, s2 = fresh () in
+  Fs.write_file s1 "/f" (bytes_of "committed");
+  Fs.p_begin s1;
+  Fs.write_file s1 "/f" (bytes_of "uncommitted");
+  (* outside a transaction the read takes no lock and sees the last
+     committed bytes *)
+  Alcotest.(check string) "auto-commit read" "committed"
+    (str (Fs.read_whole_file s2 "/f"));
+  (* inside one it still share-locks the data heap *)
+  Fs.p_begin s2;
+  expect_error E.EAGAIN (fun () -> ignore (Fs.read_whole_file s2 "/f" : bytes));
+  Fs.p_abort s2;
+  Fs.p_commit s1;
+  Alcotest.(check string) "after commit" "uncommitted" (str (Fs.read_whole_file s2 "/f"))
 
 let test_abort_releases_locks () =
   let _, s1, s2 = fresh () in
@@ -142,6 +194,8 @@ let () =
           Alcotest.test_case "readers share" `Quick test_readers_share;
           Alcotest.test_case "deadlock detected" `Quick test_deadlock_detected;
           Alcotest.test_case "namespace locking" `Quick test_namespace_lock_conflicts;
+          Alcotest.test_case "auto-commit read takes no lock" `Quick
+            test_autocommit_read_needs_no_lock;
           Alcotest.test_case "abort releases locks" `Quick test_abort_releases_locks;
           Alcotest.test_case "metadata isolation" `Quick test_sessions_isolated_metadata;
         ] );

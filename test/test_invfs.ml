@@ -363,6 +363,48 @@ let test_txn_namespace_rollback () =
   Fs.p_abort s;
   Alcotest.(check bool) "dir rolled back" false (Fs.exists s "/d")
 
+(* Buffered in-transaction writes through several fds of one session
+   land in the order they were written, and every read of the file's
+   bytes or size inside the transaction sees all of them. *)
+let test_buffered_writes_ordered_and_visible () =
+  for nfds = 2 to 5 do
+    let _, s = fresh () in
+    Fs.write_file s "/f" (bytes_of "........");
+    Fs.p_begin s;
+    let fds = List.init nfds (fun _ -> Fs.p_open s "/f" Fs.Rdwr) in
+    List.iteri
+      (fun i fd ->
+        let b = Bytes.make 4 (Char.chr (Char.code 'A' + i)) in
+        ignore (Fs.p_write s fd b 4 : int))
+      fds;
+    let last = String.make 4 (Char.chr (Char.code 'A' + nfds - 1)) in
+    (* a third fd reads the buffered bytes before commit *)
+    Alcotest.(check string)
+      (Printf.sprintf "%d fds: read before commit" nfds)
+      (last ^ "....")
+      (str (Fs.read_whole_file s "/f"));
+    List.iter (Fs.p_close s) fds;
+    Fs.p_commit s;
+    Alcotest.(check string)
+      (Printf.sprintf "%d fds: newest write wins" nfds)
+      (last ^ "....")
+      (str (Fs.read_whole_file s "/f"))
+  done;
+  (* a buffered append is visible to stat and to SEEK_END on another fd *)
+  let _, s = fresh () in
+  Fs.write_file s "/g" (bytes_of "1234");
+  Fs.p_begin s;
+  let w = Fs.p_open s "/g" Fs.Rdwr in
+  ignore (Fs.p_lseek s w 0L Fs.Seek_end : int64);
+  ignore (Fs.p_write s w (bytes_of "5678") 4 : int);
+  Alcotest.(check int64) "stat sees the append" 8L (Fs.stat s "/g").Invfs.Fileatt.size;
+  let r = Fs.p_open s "/g" Fs.Rdonly in
+  Alcotest.(check int64) "SEEK_END sees the append" 8L (Fs.p_lseek s r 0L Fs.Seek_end);
+  Fs.p_close s r;
+  Fs.p_close s w;
+  Fs.p_commit s;
+  Alcotest.(check string) "committed" "12345678" (str (Fs.read_whole_file s "/g"))
+
 let test_write_coalescing () =
   let fs, s = fresh () in
   let heap_blocks_of path =
@@ -1044,6 +1086,8 @@ let () =
           Alcotest.test_case "no nesting" `Quick test_txn_no_nesting;
           Alcotest.test_case "namespace rollback" `Quick test_txn_namespace_rollback;
           Alcotest.test_case "write coalescing" `Quick test_write_coalescing;
+          Alcotest.test_case "buffered writes ordered across fds" `Quick
+            test_buffered_writes_ordered_and_visible;
         ] );
       ( "time travel",
         [

@@ -74,6 +74,175 @@ let test_shared_to_exclusive_upgrade () =
   (* with 2 gone, 1 is sole holder again and the upgrade goes through *)
   L.acquire lm 1 ~resource:"r" L.Exclusive
 
+let modes = [ L.Shared; L.Intent_exclusive; L.Exclusive ]
+let mode = Alcotest.of_pp (fun fmt m -> Format.pp_print_string fmt (L.mode_to_string m))
+
+(* The reference tables, written out case by case. *)
+let ref_compatible a b =
+  match (a, b) with
+  | L.Shared, L.Shared -> true
+  | L.Intent_exclusive, L.Intent_exclusive -> true
+  | L.Shared, L.Intent_exclusive | L.Intent_exclusive, L.Shared -> false
+  | L.Exclusive, _ | _, L.Exclusive -> false
+
+let ref_upgrade held want =
+  match (held, want) with
+  | L.Shared, L.Shared -> L.Shared
+  | L.Intent_exclusive, L.Intent_exclusive -> L.Intent_exclusive
+  | L.Shared, L.Intent_exclusive | L.Intent_exclusive, L.Shared -> L.Exclusive
+  | L.Exclusive, _ | _, L.Exclusive -> L.Exclusive
+
+let test_shared_intent_upgrade () =
+  let lm = L.create () in
+  (* S + IX, in either order, is X *)
+  L.acquire lm 1 ~resource:"r" L.Shared;
+  L.acquire lm 1 ~resource:"r" L.Intent_exclusive;
+  Alcotest.(check (list (pair xid mode))) "S then IX" [ (1, L.Exclusive) ]
+    (L.holders lm ~resource:"r");
+  L.acquire lm 2 ~resource:"q" L.Intent_exclusive;
+  L.acquire lm 2 ~resource:"q" L.Shared;
+  Alcotest.(check (list (pair xid mode))) "IX then S" [ (2, L.Exclusive) ]
+    (L.holders lm ~resource:"q");
+  L.release_all lm 1;
+  L.release_all lm 2;
+  (* IX holders share; one of them asking for S needs the others gone *)
+  L.acquire lm 1 ~resource:"r" L.Intent_exclusive;
+  L.acquire lm 2 ~resource:"r" L.Intent_exclusive;
+  (match L.acquire lm 1 ~resource:"r" L.Shared with
+  | () -> Alcotest.fail "expected Would_block"
+  | exception L.Would_block { holders; _ } ->
+    Alcotest.(check (list xid)) "upgrade waits for the other IX" [ 2 ] holders);
+  (* a pending upgrade is a writer wait: a fresh S queues behind it *)
+  (match L.acquire lm 3 ~resource:"r" L.Shared with
+  | () -> Alcotest.fail "expected Would_block"
+  | exception L.Would_block { holders; _ } ->
+    Alcotest.(check (list xid)) "reader blocked by holders and waiter" [ 1; 2 ] holders);
+  L.release_all lm 2;
+  L.acquire lm 1 ~resource:"r" L.Shared;
+  Alcotest.(check (list (pair xid mode))) "upgraded" [ (1, L.Exclusive) ]
+    (L.holders lm ~resource:"r");
+  Alcotest.(check bool) "IX counts as a write" true
+    (L.release_all lm 1;
+     L.acquire lm 4 ~resource:"r" L.Intent_exclusive;
+     L.holds_exclusive lm 4);
+  Alcotest.(check bool) "S does not" false
+    (L.acquire lm 5 ~resource:"s" L.Shared;
+     L.holds_exclusive lm 5)
+
+let test_row_deadlock () =
+  let lm = L.create () in
+  (* two row writers share the relation's IX and cross on two rows *)
+  List.iter (fun x -> L.acquire lm x ~resource:"rel:fileatt" L.Intent_exclusive) [ 1; 2 ];
+  L.acquire lm 1 ~resource:"rel:fileatt#10" L.Exclusive;
+  L.acquire lm 2 ~resource:"rel:fileatt#11" L.Exclusive;
+  (match L.acquire lm 1 ~resource:"rel:fileatt#11" L.Exclusive with
+  | () -> Alcotest.fail "expected Would_block"
+  | exception L.Would_block { holders; _ } ->
+    Alcotest.(check (list xid)) "1 waits on row 11's writer" [ 2 ] holders);
+  (match L.acquire lm 2 ~resource:"rel:fileatt#10" L.Exclusive with
+  | () -> Alcotest.fail "expected Deadlock"
+  | exception L.Deadlock victim -> Alcotest.(check xid) "victim" 2 victim);
+  L.release_all lm 2;
+  L.acquire lm 1 ~resource:"rel:fileatt#11" L.Exclusive;
+  Alcotest.(check (list string)) "1's locks" [ "rel:fileatt"; "rel:fileatt#10"; "rel:fileatt#11" ]
+    (List.map fst (L.held_by lm 1));
+  L.release_all lm 1;
+  Alcotest.(check (list (pair xid mode))) "rows freed" [] (L.holders lm ~resource:"rel:fileatt#10")
+
+(* Random acquire/release sequences over three xids and two resources,
+   checked against the reference tables: a request is granted exactly
+   when no other holder conflicts with the upgraded mode and (for a
+   fresh S request) no other transaction has a pending IX or X wait;
+   the granted mode is the reference upgrade; holders always agree with
+   the model and are pairwise compatible. *)
+type op = Acq of int * int * L.mode | Rel of int
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 5,
+          map3
+            (fun x r m -> Acq (x, r, m))
+            (int_range 1 3) (int_range 0 1) (oneofl modes) );
+        (1, map (fun x -> Rel x) (int_range 1 3));
+      ])
+
+let show_op = function
+  | Acq (x, r, m) -> Printf.sprintf "acq(%d,r%d,%s)" x r (L.mode_to_string m)
+  | Rel x -> Printf.sprintf "rel(%d)" x
+
+let prop_matches_reference ops =
+  let lm = L.create () in
+  let holders = Hashtbl.create 8 (* (resource, xid) -> mode *) in
+  let waiters = Hashtbl.create 8 (* (resource, xid) -> mode *) in
+  let res r = "r" ^ string_of_int r in
+  let check_resource r =
+    let model =
+      Hashtbl.fold (fun (r', x) m acc -> if r' = r then (x, m) :: acc else acc) holders []
+      |> List.sort compare
+    in
+    if L.holders lm ~resource:(res r) <> model then
+      QCheck.Test.fail_reportf "holders of r%d differ from the model" r;
+    List.iter
+      (fun (a, ma) ->
+        List.iter
+          (fun (b, mb) ->
+            if a <> b && not (ref_compatible ma mb) then
+              QCheck.Test.fail_reportf "xid %d (%s) and %d (%s) both hold r%d" a
+                (L.mode_to_string ma) b (L.mode_to_string mb) r)
+          model)
+      model
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Rel x ->
+        L.release_all lm x;
+        List.iter
+          (fun tbl ->
+            Hashtbl.filter_map_inplace (fun (_, x') m -> if x' = x then None else Some m) tbl)
+          [ holders; waiters ]
+      | Acq (x, r, want) ->
+        let held = Hashtbl.find_opt holders (r, x) in
+        let target = match held with Some m -> ref_upgrade m want | None -> want in
+        let conflict =
+          Hashtbl.fold
+            (fun (r', x') m acc -> acc || (r' = r && x' <> x && not (ref_compatible target m)))
+            holders false
+        in
+        let barred =
+          target = L.Shared && held = None
+          && Hashtbl.fold
+               (fun (r', x') m acc -> acc || (r' = r && x' <> x && m <> L.Shared))
+               waiters false
+        in
+        let expect_grant = held = Some target || not (conflict || barred) in
+        (match L.acquire lm x ~resource:(res r) want with
+        | () ->
+          if not expect_grant then QCheck.Test.fail_reportf "%s granted" (show_op op);
+          (* re-asking for a lock already held leaves an older pending
+             wait in place *)
+          if held <> Some target then begin
+            Hashtbl.replace holders (r, x) target;
+            Hashtbl.remove waiters (r, x)
+          end
+        | exception L.Would_block _ ->
+          if expect_grant then QCheck.Test.fail_reportf "%s blocked" (show_op op);
+          Hashtbl.replace waiters (r, x) target
+        | exception L.Deadlock _ ->
+          if expect_grant then QCheck.Test.fail_reportf "%s deadlocked" (show_op op);
+          Hashtbl.remove waiters (r, x)));
+      check_resource 0;
+      check_resource 1)
+    ops;
+  true
+
+let qcheck_matches_reference =
+  QCheck.Test.make ~name:"acquire/release match the reference tables" ~count:500
+    (QCheck.make ~print:(QCheck.Print.list show_op) QCheck.Gen.(list_size (int_range 1 40) op_gen))
+    prop_matches_reference
+
 let test_release_all_clears_wait_edges () =
   let lm = L.create () in
   L.acquire lm 1 ~resource:"r" L.Exclusive;
@@ -238,7 +407,15 @@ let () =
           Alcotest.test_case "four-party cycle" `Quick test_four_party_deadlock_cycle;
         ] );
       ( "upgrade",
-        [ Alcotest.test_case "shared->exclusive" `Quick test_shared_to_exclusive_upgrade ] );
+        [
+          Alcotest.test_case "shared->exclusive" `Quick test_shared_to_exclusive_upgrade;
+          Alcotest.test_case "shared<->intent-exclusive" `Quick test_shared_intent_upgrade;
+        ] );
+      ( "modes",
+        [
+          QCheck_alcotest.to_alcotest qcheck_matches_reference;
+          Alcotest.test_case "row deadlock" `Quick test_row_deadlock;
+        ] );
       ( "release",
         [
           Alcotest.test_case "release_all clears wait edges" `Quick

@@ -1051,7 +1051,7 @@ let test_close_held_until_next_request () =
     raw_fd r server
       (Wire.Creat { path = "/g"; device = None; ftype = None; compressed = false })
   in
-  let rid = raw_send r (Wire.Carry { closes = [ fd ]; req = Wire.Filesize { fd } }) in
+  let rid = raw_send r (Wire.Carry { begin_txn = false; closes = [ fd ]; req = Wire.Filesize { fd } }) in
   Server.pump server;
   (match raw_reply r rid with
   | Wire.Err_reply { code = E.EBADF; _ } -> ()
@@ -1123,9 +1123,10 @@ let test_sync_closes_keep_round_trip () =
   Client.write_file c "/f" (Bytes.of_string "v1");
   Client.c_begin c;
   let fd = Client.c_open c "/f" Fs.Rdwr in
+  ignore (Client.c_write c fd (Bytes.of_string "v2") 2 : int);
   let before = Netsim.messages net in
   Client.c_close c fd;
-  Alcotest.(check int) "a close in a transaction is a round trip" (before + 2)
+  Alcotest.(check int) "closing a written fd in a transaction is a round trip" (before + 2)
     (Netsim.messages net);
   Client.c_commit c;
   let ts = Client.c_snapshot c in
@@ -1140,6 +1141,196 @@ let test_sync_closes_keep_round_trip () =
     (Relstore.Db.oldest_lease db = None);
   Alcotest.(check int) "nothing held" 0 (Client.closes_held c);
   Alcotest.(check int) "nothing carried" 0 (Server.closes_carried server)
+
+(* ---- carried Begin ---- *)
+
+let active_txns fs = Relstore.Status_log.active (Relstore.Db.status_log (Fs.db fs))
+
+let test_begin_held_until_next_request () =
+  let _, fs, server, net = mk () in
+  let c = mk_client server net 75L in
+  let before = Netsim.messages net in
+  Client.c_begin c;
+  Alcotest.(check int) "the Begin sent nothing" before (Netsim.messages net);
+  Alcotest.(check bool) "a held Begin is an open transaction" true (Client.in_txn c);
+  Alcotest.(check int) "held" 1 (Client.begins_held c);
+  Alcotest.(check (list int)) "no server transaction yet" [] (active_txns fs);
+  ignore (expect_error E.ETXN (fun () -> Client.c_begin c) : string);
+  let fd = Client.c_creat c "/f" in
+  Alcotest.(check int) "one round trip carried it" (before + 2) (Netsim.messages net);
+  Alcotest.(check int) "run by the server" 1 (Server.begins_carried server);
+  Alcotest.(check int) "one server transaction" 1 (List.length (active_txns fs));
+  (* an unwritten fd's close in the transaction is held too... *)
+  let before = Netsim.messages net in
+  Client.c_close c fd;
+  Alcotest.(check int) "closing a c_creat fd sends nothing" before (Netsim.messages net);
+  (* ...a written one's flushes and keeps its round trip *)
+  let fd = Client.c_open c "/f" Fs.Rdwr in
+  ignore (Client.c_write c fd (Bytes.of_string "data") 4 : int);
+  let before = Netsim.messages net in
+  Client.c_close c fd;
+  Alcotest.(check int) "closing a written fd is a round trip" (before + 2) (Netsim.messages net);
+  Client.c_commit c;
+  Alcotest.(check bool) "committed" false (Client.in_txn c);
+  Alcotest.(check string) "contents" "data" (Bytes.to_string (Client.read_whole_file c "/f"));
+  (* a held-only Begin aborts without a message *)
+  Client.c_begin c;
+  let before = Netsim.messages net in
+  Client.c_abort c;
+  Alcotest.(check int) "abort of a held Begin sends nothing" before (Netsim.messages net);
+  Alcotest.(check bool) "out of the transaction" false (Client.in_txn c);
+  Alcotest.(check bool) "the next request opens none" true (Client.c_exists c "/f");
+  Alcotest.(check int) "still one carried" 1 (Server.begins_carried server);
+  Alcotest.(check (list int)) "no server transaction" [] (active_txns fs)
+
+let test_shed_compound_opens_no_txn () =
+  let _, fs, server, net = mk ~run_cap:1 () in
+  let r = raw_connect server net in
+  let carry req = Wire.Carry { begin_txn = true; closes = []; req } in
+  ignore (raw_send r (Wire.Mkdir { path = "/a" }) : int64);
+  let rid_b = raw_send r (carry (Wire.Mkdir { path = "/b" })) in
+  Server.pump server;
+  (match raw_reply r rid_b with
+  | Wire.Overloaded _ -> ()
+  | _ -> Alcotest.fail "the compound should shed at the queue bound");
+  Alcotest.(check (list int)) "a shed compound leaves no transaction open" [] (active_txns fs);
+  Alcotest.(check int) "Begin not run" 0 (Server.begins_carried server);
+  ignore (raw_send ~rid:rid_b ~retry:true r (carry (Wire.Mkdir { path = "/b" })) : int64);
+  Server.pump server;
+  (match raw_reply r rid_b with
+  | Wire.Ok_reply { txn_open = true; _ } -> ()
+  | _ -> Alcotest.fail "the re-offer should run inside a new transaction");
+  Alcotest.(check int) "Begin ran once" 1 (Server.begins_carried server);
+  Alcotest.(check int) "one transaction" 1 (List.length (active_txns fs));
+  ignore (raw_ok r server Wire.Commit : Wire.result);
+  (* with parking full, a carried read that blocks is shed after its
+     Begin ran: the Begin is rolled back with it *)
+  let _, fs, server, net = mk ~park_cap:0 ~lock_wait_s:1000. () in
+  Fs.write_file (Fs.new_session fs) "/f" (Bytes.of_string "data");
+  let w = raw_connect server net in
+  ignore (raw_ok w server Wire.Begin : Wire.result);
+  let wfd = raw_fd w server (Wire.Open { path = "/f"; mode = 1; timestamp = None }) in
+  ignore (raw_ok w server (Wire.Ftruncate { fd = wfd; size = 0L }) : Wire.result);
+  let r = raw_connect server net in
+  let fd = raw_fd r server (Wire.Open { path = "/f"; mode = 0; timestamp = None }) in
+  let read = carry (Wire.Read { fd; off = 0L; len = 4 }) in
+  let rid = raw_send r read in
+  Server.pump server;
+  (match raw_reply r rid with
+  | Wire.Overloaded _ -> ()
+  | _ -> Alcotest.fail "no parking slot: the blocked read should shed");
+  Alcotest.(check int) "only the writer's transaction" 1 (List.length (active_txns fs));
+  Alcotest.(check int) "the rolled-back Begin is not counted" 0 (Server.begins_carried server);
+  ignore (raw_ok w server Wire.Commit : Wire.result);
+  ignore (raw_send ~rid ~retry:true r read : int64);
+  Server.pump server;
+  (match raw_reply r rid with
+  | Wire.Ok_reply { txn_open = true; result = Wire.R_data "" } -> ()
+  | _ -> Alcotest.fail "the re-offered read should run in a fresh transaction");
+  Alcotest.(check int) "Begin kept once" 1 (Server.begins_carried server)
+
+let test_parked_compound_runs_begin_once () =
+  let _, fs, server, net = mk ~lock_wait_s:1000. () in
+  Fs.write_file (Fs.new_session fs) "/f" (Bytes.of_string "data");
+  let w = raw_connect server net in
+  ignore (raw_ok w server Wire.Begin : Wire.result);
+  let wfd = raw_fd w server (Wire.Open { path = "/f"; mode = 1; timestamp = None }) in
+  ignore (raw_ok w server (Wire.Ftruncate { fd = wfd; size = 2L }) : Wire.result);
+  let r = raw_connect server net in
+  let fd = raw_fd r server (Wire.Open { path = "/f"; mode = 0; timestamp = None }) in
+  let rid =
+    raw_send r
+      (Wire.Carry { begin_txn = true; closes = []; req = Wire.Read { fd; off = 0L; len = 4 } })
+  in
+  Server.pump server;
+  Alcotest.(check int) "the carried read parked" 1 (Server.parked_now server);
+  Alcotest.(check int) "its Begin ran" 1 (Server.begins_carried server);
+  (* the writer commits: the parked read re-executes, without re-running
+     Begin (a second p_begin would answer ETXN) *)
+  ignore (raw_ok w server Wire.Commit : Wire.result);
+  (match raw_reply r rid with
+  | Wire.Ok_reply { txn_open = true; result = Wire.R_data "da" } -> ()
+  | Wire.Err_reply { code; msg; _ } ->
+    Alcotest.fail (Printf.sprintf "resumed read failed: %s %s" (E.code_to_string code) msg)
+  | _ -> Alcotest.fail "the parked read should resume inside its transaction");
+  Alcotest.(check int) "Begin ran once" 1 (Server.begins_carried server);
+  Alcotest.(check int) "one resume" 1 (Server.park_resumes server);
+  ignore (raw_ok r server Wire.Commit : Wire.result);
+  Alcotest.(check (list int)) "all committed" [] (active_txns fs)
+
+let test_session_lost_with_begin_held () =
+  let _, fs, server, net = mk () in
+  let c = mk_client server net 76L in
+  Client.write_file c "/f" (Bytes.of_string "stable");
+  (* a transaction that is still only a held Begin outlives the session:
+     the request that carried it is reissued with it, whatever its kind,
+     just as a Begin of its own would have been reissued first *)
+  Client.c_begin c;
+  Server.crash_now server;
+  Client.c_mkdir c "/d";
+  Alcotest.(check bool) "inside the transaction" true (Client.in_txn c);
+  Alcotest.(check int) "one server transaction" 1 (List.length (active_txns fs));
+  Client.c_abort c;
+  Alcotest.(check bool) "the mkdir died with the abort" false (Client.c_exists c "/d");
+  Client.c_begin c;
+  Server.crash_now server;
+  Alcotest.(check bool) "a lookup too" true (Client.c_exists c "/f");
+  Alcotest.(check bool) "still inside" true (Client.in_txn c);
+  (* once the Begin has reached the server the loss is reported *)
+  Server.crash_now server;
+  let msg = expect_error E.ECONNRESET (fun () -> Client.c_mkdir c "/e") in
+  Alcotest.(check bool) "told it was aborted" true
+    (let suffix = "transaction aborted" in
+     String.length msg >= String.length suffix
+     && String.sub msg (String.length msg - String.length suffix) (String.length suffix)
+        = suffix);
+  Alcotest.(check bool) "client left the transaction" false (Client.in_txn c);
+  Alcotest.(check bool) "nothing created" false (Client.c_exists c "/e");
+  Alcotest.(check (list int)) "no transaction left open" [] (active_txns fs)
+
+(* A compound the server refused without running it (shed, deadline)
+   leaves the caller's transaction open as the held Begin: a retry of
+   the refused call runs inside it, not on its own. *)
+let test_refused_compound_keeps_begin () =
+  let clock, fs, server, net = mk ~run_cap:1 ~lock_wait_s:1000. () in
+  let setup = mk_client server net 77L in
+  Client.write_file setup "/f" (Bytes.of_string "data");
+  (* pin the queue at run_cap with a parked truncate, as in the retry
+     budget test *)
+  let a = raw_connect server net in
+  ignore (raw_ok a server Wire.Begin : Wire.result);
+  let fd_a = raw_fd a server (Wire.Open { path = "/f"; mode = 1; timestamp = None }) in
+  ignore (raw_ok a server (Wire.Ftruncate { fd = fd_a; size = 0L }) : Wire.result);
+  let b = raw_connect server net in
+  let fd_b = raw_fd b server (Wire.Open { path = "/f"; mode = 1; timestamp = None }) in
+  ignore (raw_send b (Wire.Ftruncate { fd = fd_b; size = 1L }) : int64);
+  Server.pump server;
+  let config =
+    { Client.default_config with Client.retry_budget = 1; retry_refill_per_s = 0. }
+  in
+  let c = mk_client ~config server net 78L in
+  Client.c_begin c;
+  ignore (expect_error E.EBUSY (fun () -> Client.c_creat c "/x") : string);
+  Alcotest.(check bool) "still in the transaction" true (Client.in_txn c);
+  Alcotest.(check bool) "as the held Begin" true (Client.begin_held c);
+  ignore (raw_ok a server Wire.Abort : Wire.result);
+  let fd = Client.c_creat c "/x" in
+  Alcotest.(check bool) "the retry ran in a server transaction" true
+    (Client.in_txn c && not (Client.begin_held c));
+  Client.c_close c fd;
+  Client.c_abort c;
+  Alcotest.(check bool) "the abort undid it" false (Client.c_exists c "/x");
+  (* a deadline the request outlives on the wire: the server rejects it
+     before running the Begin *)
+  Client.c_begin c;
+  Client.set_deadline c (Some (Simclock.Clock.now clock +. 1e-6));
+  ignore (expect_error E.ETIMEDOUT (fun () -> Client.c_mkdir c "/y") : string);
+  Alcotest.(check bool) "the rejection left the Begin held" true (Client.begin_held c);
+  Client.set_deadline c None;
+  Client.c_mkdir c "/y";
+  Client.c_abort c;
+  Alcotest.(check bool) "nothing committed" false (Client.c_exists c "/y");
+  Alcotest.(check (list int)) "no transaction left open" [] (active_txns fs)
 
 (* ---- compound framing and the bounded reassembly table ---- *)
 
@@ -1186,8 +1377,10 @@ let every_compound =
       if Wire.control_plane req then []
       else
         List.map
-          (fun n -> Wire.Carry { closes = List.init n (fun i -> 3 + i); req })
-          [ 0; 1; Wire.max_carried_closes ])
+          (fun (begin_txn, n) ->
+            Wire.Carry { begin_txn; closes = List.init n (fun i -> 3 + i); req })
+          ((if req = Wire.Begin then [] else [ (true, 0); (true, 2) ])
+          @ [ (false, 0); (false, 1); (false, Wire.max_carried_closes) ]))
     every_request
 
 let every_reply =
@@ -1268,12 +1461,16 @@ let test_compound_codec () =
   in
   let closes = List.init Wire.max_carried_closes (fun i -> 3 + i) in
   Alcotest.(check int) "a full frame stays one frame" 1
-    (List.length (Wire.encode_request ~sid:1L ~rid:1L (Wire.Carry { closes; req = full })));
+    (List.length (Wire.encode_request ~sid:1L ~rid:1L (Wire.Carry { begin_txn = true; closes; req = full })));
   let big = Wire.Write { fd = 1; off = 0L; data = String.make (3 * Wire.max_fragment) 'w' } in
   Alcotest.(check int) "a windowed upload keeps its frame count and trailer"
     (List.length (Wire.encode_request ~sid:1L ~rid:1L big))
-    (List.length (Wire.encode_request ~sid:1L ~rid:1L (Wire.Carry { closes; req = big })));
-  (match Wire.decode_request_any (request_payload (Wire.Carry { closes; req = big })) with
+    (List.length
+       (Wire.encode_request ~sid:1L ~rid:1L (Wire.Carry { begin_txn = false; closes; req = big })));
+  (match
+     Wire.decode_request_any
+       (request_payload (Wire.Carry { begin_txn = true; closes; req = big }))
+   with
   | `Req (Wire.Carry { req = got; _ }) when got = big -> ()
   | _ -> Alcotest.fail "a fragmented compound did not reassemble");
   let malformed what payload =
@@ -1282,21 +1479,43 @@ let test_compound_codec () =
     | _ -> Alcotest.fail (what ^ " should be malformed")
   in
   let mkdir = Wire.Mkdir { path = "/d" } in
+  let carry ?(begin_txn = false) closes req = Wire.Carry { begin_txn; closes; req } in
   malformed "a nested compound"
-    (request_payload
-       (Wire.Carry { closes = [ 3 ]; req = Wire.Carry { closes = [ 4 ]; req = mkdir } }));
+    (request_payload (carry [ 3 ] (carry ~begin_txn:true [ 4 ] mkdir)));
+  malformed "two Begins" (request_payload (carry ~begin_txn:true [] Wire.Begin));
   List.iter
     (fun req ->
       if Wire.control_plane req then
-        malformed ("a carried " ^ Wire.req_name req)
-          (request_payload (Wire.Carry { closes = [ 3 ]; req })))
+        malformed ("a carried " ^ Wire.req_name req) (request_payload (carry [ 3 ] req)))
     every_request;
+  (* the count is the three bytes after the flag; flag 0 keeps the
+     flag check out of the way *)
   List.iter
     (fun n ->
-      let b = Bytes.of_string (request_payload (Wire.Carry { closes = [ 3 ]; req = mkdir })) in
-      set_i32 b 1 n;
+      let b = Bytes.of_string (request_payload (carry [ 3 ] mkdir)) in
+      Bytes.set b 2 (Char.chr ((n lsr 16) land 0xff));
+      Bytes.set b 3 (Char.chr ((n lsr 8) land 0xff));
+      Bytes.set b 4 (Char.chr (n land 0xff));
       malformed (Printf.sprintf "count %d" n) (Bytes.to_string b))
-    [ -1; Wire.max_carried_closes + 1; 0x7fffffff ]
+    [ Wire.max_carried_closes + 1; 0x800000; 0xffffff ];
+  (* the Begin flag is one byte, 0 or 1 *)
+  List.iter
+    (fun flag ->
+      let b = Bytes.of_string (request_payload (carry ~begin_txn:true [ 3 ] mkdir)) in
+      Bytes.set b 1 (Char.chr flag);
+      malformed (Printf.sprintf "flag %d" flag) (Bytes.to_string b))
+    [ 2; 0x80; 0xff ];
+  (* a pre-flag close count of -1 or 2^31-1 lands in the flag byte *)
+  List.iter
+    (fun (what, v) ->
+      let b = Bytes.of_string (request_payload (carry [ 3 ] mkdir)) in
+      set_i32 b 1 v;
+      malformed what (Bytes.to_string b))
+    [ ("flag 0xff, count 0xffffff", -1); ("flag 0x7f, count 0xffffff", 0x7fffffff) ];
+  (* a Begin costs no byte: the flag shares the count's four bytes *)
+  Alcotest.(check int) "same size with and without a Begin"
+    (String.length (request_payload (carry [ 3 ] mkdir)))
+    (String.length (request_payload (carry ~begin_txn:true [ 3 ] mkdir)))
 
 let test_assembly_bounded () =
   let asm = Wire.Assembly.create () in
@@ -1348,7 +1567,7 @@ let mutate st s =
     Bytes.to_string b
   | _ ->
     (* a count or length field set to a hostile value; offset 1 is a
-       compound's close count *)
+       compound's Begin flag and close count *)
     if n >= 5 then begin
       let off = if Random.State.bool st then 1 else Random.State.int st (n - 3) in
       let v = [| -1; Wire.max_carried_closes + 1; 0x7fffffff |].(Random.State.int st 3) in
@@ -1492,6 +1711,19 @@ let () =
         [
           Alcotest.test_case "commit replies ride the batch force" `Quick
             test_group_commit_defers_replies;
+        ] );
+      ( "carried begin",
+        [
+          Alcotest.test_case "begin held until the next request" `Quick
+            test_begin_held_until_next_request;
+          Alcotest.test_case "shed compound opens no transaction" `Quick
+            test_shed_compound_opens_no_txn;
+          Alcotest.test_case "parked compound runs begin once" `Quick
+            test_parked_compound_runs_begin_once;
+          Alcotest.test_case "refused compound keeps its begin" `Quick
+            test_refused_compound_keeps_begin;
+          Alcotest.test_case "session lost with a begin held" `Quick
+            test_session_lost_with_begin_held;
         ] );
       ( "close-behind",
         [
