@@ -23,11 +23,12 @@
 
    The sweep calibrates first: a closed-loop prefix measures service
    capacity, then each level offers [factor × capacity] so the knee is
-   always inside the swept range.  Correctness rides along: a
-   Nettest-style oid-keyed oracle shadows every mutation (per-session
-   overlays for open transactions), reads are checked against it
-   mid-flight, snapshots feed time-travel checks, and a full-tree walk
-   closes the run. *)
+   always inside the swept range.  Correctness rides along: an
+   oid-keyed model of the Zipf population shadows every mutation
+   (per-session overlays for open transactions), reads are checked
+   against it mid-flight, snapshots feed time-travel checks, and a
+   full-tree walk closes the run.  The bookkeeping, the mismatch log and
+   the tree walk are Oracle's (DESIGN.md, "Differential oracle"). *)
 
 module OM = Map.Make (Int64)
 module Rng = Simclock.Rng
@@ -337,53 +338,18 @@ type state = {
   pop : popn; (* committed files, creation order = zipf rank *)
   mutable files : bytes OM.t; (* oid -> committed contents *)
   mutable history : (int64 * (string * bytes) list) list; (* newest first *)
-  mutable next_name : int;
-  mutable next_oid : int64;
-  mutable commits : int;
-  mutable aborts : int;
-  mutable lock_skips : int;
+  o : Oracle.t; (* name/oid counters, tallies and the mismatch log *)
   mutable shed_deadline : int;
   mutable shed_overload : int;
-  mutable time_travel_checks : int;
-  mutable full_verifies : int;
-  mutable mismatches : string list;
 }
 
-let max_mismatches = 50
-
-let trace st fmt =
-  Printf.ksprintf (fun msg -> if st.cfg.trace then Printf.eprintf "%s\n%!" msg) fmt
-
-let mismatch st fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if List.length st.mismatches < max_mismatches then
-        st.mismatches <- msg :: st.mismatches)
-    fmt
+let trace st fmt = Oracle.trace st.o fmt
+let mismatch st fmt = Oracle.mismatch st.o fmt
 
 let view_content st cs oid =
   match OM.find_opt oid cs.ov_files with
   | Some b -> b
   | None -> Option.value ~default:Bytes.empty (OM.find_opt oid st.files)
-
-let bytes_diff a b =
-  if Bytes.equal a b then None
-  else begin
-    let la = Bytes.length a and lb = Bytes.length b in
-    let n = min la lb in
-    let i = ref 0 in
-    while !i < n && Bytes.get a !i = Bytes.get b !i do
-      incr i
-    done;
-    Some (Printf.sprintf "lengths %d vs %d, first difference at byte %d" la lb !i)
-  end
-
-let splice cur ~off data =
-  let len = Bytes.length cur and dlen = Bytes.length data in
-  let out = Bytes.make (max len (off + dlen)) '\000' in
-  Bytes.blit cur 0 out 0 len;
-  Bytes.blit data 0 out off dlen;
-  out
 
 let clear_overlay cs =
   cs.in_txn <- false;
@@ -405,14 +371,14 @@ let commit_overlay st cs =
 let drop_txn st cs =
   if cs.in_txn then begin
     (try Client.c_abort cs.c with _ -> ());
-    st.aborts <- st.aborts + 1
+    st.o.aborts <- st.o.aborts + 1
   end;
   clear_overlay cs
 
 (* A conflicting two-phase lock is not a failure, it is the measurement:
    the op aborts cleanly, the oracle applies nothing. *)
 let lock_skip st cs =
-  st.lock_skips <- st.lock_skips + 1;
+  st.o.lock_skips <- st.o.lock_skips + 1;
   drop_txn st cs
 
 (* Deadline failures — the client's fail-fast and the server's recorded
@@ -440,7 +406,7 @@ let exec_read st cs op =
     trace st "s%d read %s" cs.id path;
     let expect = view_content st cs oid in
     let real = Client.read_whole_file cs.c path in
-    match bytes_diff expect real with
+    match Oracle.bytes_diff expect real with
     | None -> ()
     | Some d -> mismatch st "read %s diverged: %s" path d)
 
@@ -458,7 +424,7 @@ let exec_write st cs op =
     in
     trace st "s%d write %s off=%d len=%d" cs.id path off dlen;
     let data = Rng.bytes orng dlen in
-    let after = splice cur ~off data in
+    let after = Oracle.splice cur ~off data in
     let fd = Client.c_open cs.c path Fs.Rdwr in
     ignore (Client.c_lseek cs.c fd (Int64.of_int off) Fs.Seek_set : int64);
     ignore (Client.c_write cs.c fd data dlen : int);
@@ -472,11 +438,8 @@ let exec_write st cs op =
     Client.c_close cs.c fd
 
 let exec_create st cs _op =
-  let n = st.next_name in
-  st.next_name <- n + 1;
-  let path = Printf.sprintf "/t%d/f%d" cs.tenant n in
-  let oid = st.next_oid in
-  st.next_oid <- Int64.add oid 1L;
+  let path = Printf.sprintf "/t%d/%s" cs.tenant (Oracle.fresh_name st.o "f") in
+  let oid = Oracle.fresh_oid st.o in
   trace st "s%d creat %s" cs.id path;
   let fd = Client.c_creat cs.c path in
   (* As with writes, the create RPC — not the close — is the oracle's
@@ -503,10 +466,10 @@ let exec_time_travel st cs op =
     | snap -> (
       let path, expect = List.nth snap (Rng.int orng (List.length snap)) in
       trace st "s%d tt @%Ld %s" cs.id ts path;
-      st.time_travel_checks <- st.time_travel_checks + 1;
+      st.o.time_travel_checks <- st.o.time_travel_checks + 1;
       match Client.read_whole_file cs.c ~timestamp:ts path with
       | real -> (
-        match bytes_diff expect real with
+        match Oracle.bytes_diff expect real with
         | None -> ()
         | Some d -> mismatch st "time travel @%Ld: %s differs: %s" ts path d)
       | exception (Errors.Fs_error _ as e) when is_shed_exn e -> raise e
@@ -525,7 +488,7 @@ let exec_commit st cs =
   trace st "s%d commit" cs.id;
   if cs.in_txn then begin
     Client.c_commit cs.c;
-    st.commits <- st.commits + 1;
+    st.o.commits <- st.o.commits + 1;
     commit_overlay st cs
   end
 
@@ -584,36 +547,21 @@ let take_snapshot st =
      later commit may share its timestamp. *)
   Simclock.Clock.advance st.clock ~account:"load.mark" 1e-6
 
-let join dir name = if dir = "/" then "/" ^ name else dir ^ "/" ^ name
-
 let verify_full_state st ~phase =
-  st.full_verifies <- st.full_verifies + 1;
-  let s = Fs.new_session st.fs in
-  let real = Hashtbl.create 256 in
-  let rec go dir =
-    List.iter
-      (fun name ->
-        let path = join dir name in
-        let att = Fs.stat s path in
-        if att.Invfs.Fileatt.ftype = "directory" then go path
-        else Hashtbl.replace real path (Fs.read_whole_file s path))
-      (Fs.readdir s dir)
-  in
-  go "/";
+  st.o.full_verifies <- st.o.full_verifies + 1;
+  let real = ref (fst (Oracle.walk_real (Fs.new_session st.fs))) in
   for i = 0 to st.pop.count - 1 do
     let path, oid = st.pop.entries.(i) in
     let expect = Option.value ~default:Bytes.empty (OM.find_opt oid st.files) in
-    match Hashtbl.find_opt real path with
+    match Oracle.SM.find_opt path !real with
     | None -> mismatch st "%s: %s missing from real fs" phase path
     | Some r -> (
-      Hashtbl.remove real path;
-      match bytes_diff expect r with
+      real := Oracle.SM.remove path !real;
+      match Oracle.bytes_diff expect r with
       | None -> ()
       | Some d -> mismatch st "%s: %s content differs: %s" phase path d)
   done;
-  Hashtbl.iter
-    (fun path _ -> mismatch st "%s: real fs has unexpected file %s" phase path)
-    real
+  Oracle.SM.iter (fun path _ -> mismatch st "%s: real fs has unexpected file %s" phase path) !real
 
 (* ---------- the engine ---------- *)
 
@@ -676,7 +624,7 @@ let run_schedule st ~t_start ~deadline ~headroom ~lat ~adm_lat ~tenant_lat ~max_
     (fun cs ->
       if cs.in_txn then begin
         (try Client.c_abort cs.c with _ -> ());
-        st.aborts <- st.aborts + 1;
+        st.o.aborts <- st.o.aborts + 1;
         clear_overlay cs
       end)
     st.clients;
@@ -724,16 +672,9 @@ let run ?(config = default_config) ~seed () =
       pop = { entries = Array.make 64 ("", 0L); count = 0 };
       files = OM.empty;
       history = [];
-      next_name = 0;
-      next_oid = 1L;
-      commits = 0;
-      aborts = 0;
-      lock_skips = 0;
+      o = Oracle.create ~rng ~trace:config.trace;
       shed_deadline = 0;
       shed_overload = 0;
-      time_travel_checks = 0;
-      full_verifies = 0;
-      mismatches = [];
     }
   in
   (* Tenant directories, then the seed population (written through the
@@ -743,11 +684,8 @@ let run ?(config = default_config) ~seed () =
   done;
   for i = 0 to config.initial_files - 1 do
     let cs = st.clients.(i mod config.clients) in
-    let n = st.next_name in
-    st.next_name <- n + 1;
-    let path = Printf.sprintf "/t%d/f%d" cs.tenant n in
-    let oid = st.next_oid in
-    st.next_oid <- Int64.add oid 1L;
+    let path = Printf.sprintf "/t%d/%s" cs.tenant (Oracle.fresh_name st.o "f") in
+    let oid = Oracle.fresh_oid st.o in
     let data = Rng.bytes rng config.file_bytes in
     Client.write_file cs.c path data;
     popn_add st.pop path oid;
@@ -801,7 +739,7 @@ let run ?(config = default_config) ~seed () =
         let sched = schedule ~config ~seed:level_seed ~rate ~ops:config.ops_per_level in
         let t_start = Simclock.Clock.now clock in
         let max_wq = ref 0 in
-        let skips0 = st.lock_skips in
+        let skips0 = st.o.lock_skips in
         let sd0 = st.shed_deadline and so0 = st.shed_overload in
         let applied, slo_ok =
           run_schedule st ~t_start ~deadline:config.deadline_s
@@ -824,7 +762,7 @@ let run ?(config = default_config) ~seed () =
           l_achieved_ops_s = float_of_int n /. duration;
           l_ops = n;
           l_applied = applied;
-          l_lock_skips = st.lock_skips - skips0;
+          l_lock_skips = st.o.lock_skips - skips0;
           l_p50_s = Metrics.percentile lat 0.50;
           l_p95_s = Metrics.percentile lat 0.95;
           l_p99_s = Metrics.percentile lat 0.99;
@@ -871,12 +809,12 @@ let run ?(config = default_config) ~seed () =
     slo_p99_s = config.slo_p99_s;
     ops_total = !ops_total;
     applied_total = !applied_total;
-    lock_skips = st.lock_skips;
-    commits = st.commits;
-    aborts = st.aborts;
-    time_travel_checks = st.time_travel_checks;
-    full_verifies = st.full_verifies;
-    mismatches = List.rev st.mismatches;
+    lock_skips = st.o.lock_skips;
+    commits = st.o.commits;
+    aborts = st.o.aborts;
+    time_travel_checks = st.o.time_travel_checks;
+    full_verifies = st.o.full_verifies;
+    mismatches = Oracle.mismatches st.o;
     shed_deadline = st.shed_deadline;
     shed_overload = st.shed_overload;
   }
