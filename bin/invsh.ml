@@ -329,7 +329,6 @@ let run_command shell line =
     List.iter
       (fun (k, v) -> say "  %-22s %8.3fs" k v)
       (Simclock.Clock.accounts shell.clock);
-    List.iter (fun (k, v) -> say "  %-22s %8d" k v) (Simclock.Clock.counters shell.clock);
     (match r with
     | None -> ()
     | Some c ->

@@ -93,7 +93,7 @@ let () =
     (timed_read "/data/raw_image_1.tm");
   say "                                              the 8s platter load was paid once, at migration)";
   say "jukebox platter exchanges so far: %d"
-    (Simclock.Clock.ticks clock "jukebox.platter_exchange");
+    (Option.value ~default:0 (Obs.Metrics.read "jukebox.platter_exchange"));
 
   say "";
   say "== History survives migration ==";

@@ -126,9 +126,9 @@ end
 module Metrics : sig
   (** Counters and log-scale histograms owned by the registry, plus
       {e probes} — live read-only views onto legacy per-instance
-      counters ([Bufcache.hits], [Netsim.messages], clock tick
-      accounts…) registered by their owners.  Everything is reachable
-      by name through one {!snapshot}. *)
+      counters ([Bufcache.hits], [Netsim.messages]…) registered by
+      their owners.  Everything is reachable by name through one
+      {!snapshot}. *)
 
   type counter
 

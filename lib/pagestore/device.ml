@@ -278,6 +278,8 @@ let rec allocate_block t segid =
   | _ -> ());
   len
 
+let m_resilver = Obs.Metrics.counter "mirror.resilver_segment"
+
 let attach_mirror t m =
   if t == m then invalid_arg "Device.attach_mirror: a device cannot mirror itself";
   if t.mirror <> None then
@@ -303,7 +305,7 @@ let attach_mirror t m =
         | Some c -> Hashtbl.replace m.checksums (msegid, blkno) c
         | None -> ()
       done;
-      Simclock.Clock.tick t.clock "mirror.resilver_segment")
+      Obs.Metrics.incr m_resilver)
     (List.sort compare segids)
 
 let mirror t = t.mirror
@@ -351,6 +353,10 @@ let charge_nvram_io t account =
    optical transfer plus the cache fill. *)
 let cache_io_cost = rz58.per_io_s +. (rz58.rotation_s /. 2.) +. (float_of_int Page.size /. rz58.xfer_bytes_per_s)
 
+let m_platter_exchange = Obs.Metrics.counter "jukebox.platter_exchange"
+let m_jukebox_hit = Obs.Metrics.counter "jukebox.cache_hit"
+let m_jukebox_miss = Obs.Metrics.counter "jukebox.cache_miss"
+
 let platter_of t phys =
   if t.geometry.platter_blocks <= 0 then 0 else phys / t.geometry.platter_blocks
 
@@ -359,7 +365,7 @@ let charge_jukebox_media t account phys =
   let platter = platter_of t phys in
   if platter <> t.loaded_platter then begin
     Simclock.Clock.advance t.clock ~account:"jukebox.load" g.platter_load_s;
-    Simclock.Clock.tick t.clock "jukebox.platter_exchange";
+    Obs.Metrics.incr m_platter_exchange;
     t.loaded_platter <- platter
   end;
   Simclock.Clock.advance t.clock ~account:(account ^ ".overhead") g.per_io_s;
@@ -368,12 +374,12 @@ let charge_jukebox_media t account phys =
 
 let charge_jukebox_read t phys =
   if Lru_set.mem t.cache phys then begin
-    Simclock.Clock.tick t.clock "jukebox.cache_hit";
+    Obs.Metrics.incr m_jukebox_hit;
     Simclock.Clock.advance t.clock ~account:"jukebox.cache" cache_io_cost;
     Lru_set.touch t.cache phys
   end
   else begin
-    Simclock.Clock.tick t.clock "jukebox.cache_miss";
+    Obs.Metrics.incr m_jukebox_miss;
     charge_jukebox_media t "jukebox" phys;
     (* fill the cache *)
     Simclock.Clock.advance t.clock ~account:"jukebox.cache" cache_io_cost;
@@ -600,7 +606,8 @@ let charge_drain t =
   Simclock.Clock.advance t.clock ~account:"disk.drain" (g.per_io_s +. xfer_time g);
   t.writes <- t.writes + 1
 
-let sync t = Simclock.Clock.tick t.clock (t.name ^ ".sync")
+let m_sync = Obs.Metrics.counter "device.sync"
+let sync _t = Obs.Metrics.incr m_sync
 
 let crash t =
   t.head_phys <- 0;

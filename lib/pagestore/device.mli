@@ -166,7 +166,7 @@ val charge_drain : t -> unit
 
 val sync : t -> unit
 (** Barrier: charge any deferred write-back cost.  (The models here write
-    through, so this only ticks a counter.) *)
+    through, so this only counts [device.sync] in {!Obs.Metrics}.) *)
 
 val set_fault_hook : t -> fault_hook option -> unit
 (** Install (or clear, with [None]) the fault hook.  At most one hook is

@@ -6,15 +6,13 @@ type policy = {
 
 let default_policy = { max_attempts = 3; base_backoff_s = 0.001; backoff_multiplier = 4.0 }
 
-(* Registry twins of the clock-tick counters ("resilient.retry" etc.):
-   the unified registry sums across devices/clocks, the ticks stay the
-   per-clock legacy view.  Bare int increments — no allocation. *)
+(* Registry counters, summed across devices and clocks.  Bare int
+   increments — no allocation. *)
 let m_retries = Obs.Metrics.counter "resilient.retries"
 let m_failovers = Obs.Metrics.counter "resilient.failovers"
 let m_repairs = Obs.Metrics.counter "resilient.repairs"
 
 let backoff policy clock attempt =
-  Simclock.Clock.tick clock "resilient.retry";
   Obs.Metrics.incr m_retries;
   if Obs.on Obs.Device then
     Obs.event Obs.Device "resilient.retry" ~args:[ ("attempt", Obs.I attempt) ] ();
@@ -71,7 +69,6 @@ let read_block ?(policy = default_policy) ?(charged = true) ?(cont = false) dev 
     match Device.segment_mirror dev ~segid with
     | None -> raise primary_failure
     | Some (mdev, msegid) -> (
-      Simclock.Clock.tick (Device.clock dev) "resilient.failover";
       Obs.Metrics.incr m_failovers;
       if Obs.on Obs.Device then
         Obs.event Obs.Device "resilient.failover"
@@ -86,7 +83,6 @@ let read_block ?(policy = default_policy) ?(charged = true) ?(cont = false) dev 
            serving. *)
         (try
            Device.poke_block dev ~segid ~blkno page;
-           Simclock.Clock.tick (Device.clock dev) "resilient.repair";
            Obs.Metrics.incr m_repairs;
            if Obs.on Obs.Device then
              Obs.event Obs.Device "resilient.repair"

@@ -85,7 +85,6 @@ let commit ?(force = true) t xid =
         t.pending_force <- t.pending_force + 1
       end
     end;
-    Simclock.Clock.tick t.clock "txn.commit";
     ts
   | Committed _ | Aborted ->
     invalid_arg (Printf.sprintf "Status_log.commit: xid %d not in progress" xid)
@@ -112,8 +111,7 @@ let abort t xid =
     Hashtbl.replace t.table xid Aborted;
     Hashtbl.remove t.begin_times xid;
     (* An aborted transaction's intents will never be redone. *)
-    Hashtbl.remove t.intents xid;
-    Simclock.Clock.tick t.clock "txn.abort"
+    Hashtbl.remove t.intents xid
   | Committed _ ->
     invalid_arg (Printf.sprintf "Status_log.abort: xid %d already committed" xid)
 

@@ -1,10 +1,6 @@
-type t = {
-  mutable usec : int64;
-  charges : (string, int64) Hashtbl.t;
-  events : (string, int) Hashtbl.t;
-}
+type t = { mutable usec : int64; charges : (string, int64) Hashtbl.t }
 
-let create () = { usec = 0L; charges = Hashtbl.create 16; events = Hashtbl.create 16 }
+let create () = { usec = 0L; charges = Hashtbl.create 16 }
 
 let usec_of_sec s = Int64.of_float (s *. 1e6 +. 0.5)
 let sec_of_usec u = Int64.to_float u /. 1e6
@@ -20,8 +16,7 @@ let advance t ?(account = "unattributed") dt =
 
 let reset t =
   t.usec <- 0L;
-  Hashtbl.reset t.charges;
-  Hashtbl.reset t.events
+  Hashtbl.reset t.charges
 
 let charged t account =
   match Hashtbl.find_opt t.charges account with
@@ -30,16 +25,6 @@ let charged t account =
 
 let accounts t =
   Hashtbl.fold (fun k v acc -> (k, sec_of_usec v) :: acc) t.charges []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let tick t name =
-  let prev = Option.value ~default:0 (Hashtbl.find_opt t.events name) in
-  Hashtbl.replace t.events name (prev + 1)
-
-let ticks t name = Option.value ~default:0 (Hashtbl.find_opt t.events name)
-
-let counters t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.events []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let timestamp t = t.usec

@@ -25,23 +25,13 @@ val advance : t -> ?account:string -> float -> unit
     simulated time went. *)
 
 val reset : t -> unit
-(** Rewind to time 0 and clear all charge accounts and counters. *)
+(** Rewind to time 0 and clear all charge accounts. *)
 
 val charged : t -> string -> float
 (** Total seconds charged to an account so far (0. if never charged). *)
 
 val accounts : t -> (string * float) list
 (** All accounts with their charges, sorted by label. *)
-
-val tick : t -> string -> unit
-(** Increment a named event counter (e.g. ["disk.io"]): counts events
-    rather than time. *)
-
-val ticks : t -> string -> int
-(** Read a named event counter (0 if never ticked). *)
-
-val counters : t -> (string * int) list
-(** All event counters, sorted by label. *)
 
 val timestamp : t -> int64
 (** Current simulated time in integer microseconds.  Used as the commit

@@ -19,10 +19,8 @@ let test_clock_negative () =
 let test_clock_reset () =
   let c = Simclock.Clock.create () in
   Simclock.Clock.advance c 5.;
-  Simclock.Clock.tick c "ev";
   Simclock.Clock.reset c;
   Alcotest.(check (float 1e-9)) "reset time" 0. (Simclock.Clock.now c);
-  Alcotest.(check int) "reset counters" 0 (Simclock.Clock.ticks c "ev");
   Alcotest.(check int) "no accounts" 0 (List.length (Simclock.Clock.accounts c))
 
 let test_clock_timestamp () =
@@ -31,17 +29,6 @@ let test_clock_timestamp () =
   Alcotest.(check int64) "1s = 1e6 µs" 1_000_000L (Simclock.Clock.timestamp c);
   Simclock.Clock.advance c 0.000001;
   Alcotest.(check int64) "µs precision" 1_000_001L (Simclock.Clock.timestamp c)
-
-let test_clock_ticks () =
-  let c = Simclock.Clock.create () in
-  Simclock.Clock.tick c "x";
-  Simclock.Clock.tick c "x";
-  Simclock.Clock.tick c "y";
-  Alcotest.(check int) "x twice" 2 (Simclock.Clock.ticks c "x");
-  Alcotest.(check int) "y once" 1 (Simclock.Clock.ticks c "y");
-  Alcotest.(check (list (pair string int))) "counters sorted"
-    [ ("x", 2); ("y", 1) ]
-    (Simclock.Clock.counters c)
 
 let test_rng_determinism () =
   let a = Simclock.Rng.create 7L and b = Simclock.Rng.create 7L in
@@ -124,7 +111,6 @@ let () =
           Alcotest.test_case "negative advance rejected" `Quick test_clock_negative;
           Alcotest.test_case "reset" `Quick test_clock_reset;
           Alcotest.test_case "timestamp precision" `Quick test_clock_timestamp;
-          Alcotest.test_case "event counters" `Quick test_clock_ticks;
         ] );
       ( "rng",
         [
