@@ -194,6 +194,7 @@ let run ?(config = default_config) ~seed () =
       w =
         {
           Oracle.driver = Oracle.local_driver;
+          read = Fs.read_whole_file;
           sessions = Array.init config.sessions (fun id -> Oracle.sess id (Fs.new_session fs));
           max_file_bytes = config.max_file_bytes;
           max_dirs = config.max_dirs;

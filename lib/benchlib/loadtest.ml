@@ -549,7 +549,8 @@ let take_snapshot st =
 
 let verify_full_state st ~phase =
   st.o.full_verifies <- st.o.full_verifies + 1;
-  let real = ref (fst (Oracle.walk_real (Fs.new_session st.fs))) in
+  let real, _ = Oracle.walk_real ~read:Fs.read_whole_file (Fs.new_session st.fs) in
+  let real = ref real in
   for i = 0 to st.pop.count - 1 do
     let path, oid = st.pop.entries.(i) in
     let expect = Option.value ~default:Bytes.empty (OM.find_opt oid st.files) in

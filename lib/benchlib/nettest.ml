@@ -20,8 +20,8 @@
    abort with none of its writes visible.
 
    The model, the op generator (through Oracle.client_driver), the
-   probes and the verifies are Oracle's; this module keeps the fault
-   model, the crash handling and the run loop. *)
+   probes, the verifies and the op step are Oracle's; this module keeps
+   the fault model, the crash handling and the run loop. *)
 
 module Rng = Simclock.Rng
 module Fs = Invfs.Fs
@@ -106,10 +106,7 @@ type state = {
   server : Server.t;
   plan : Faultsim.t;
   o : Oracle.t;
-  w : Client.t Oracle.workload;
-  mutable current : Client.t Oracle.sess option; (* the client whose op is executing *)
-  mutable in_flight : bool; (* an op's RPC is executing right now *)
-  mutable verify_pending : bool; (* a mid-flight crash deferred its verify *)
+  r : Client.t Oracle.remote;
 }
 
 let trace st fmt = Oracle.trace st.o fmt
@@ -134,12 +131,6 @@ let take_snapshot st =
      timestamp (As_of visibility uses <=). *)
   Simclock.Clock.advance (Relstore.Db.clock st.db) ~account:"nettest.mark" 1e-6
 
-(* The committed state is read through a fresh local session: the
-   clients' sessions may be mid-transaction or dead. *)
-let verify st ~phase =
-  Oracle.verify_full_state st.o (Fs.new_session st.fs) ~phase;
-  Oracle.check_time_travel st.o (Fs.new_session st.fs)
-
 (* On any server crash — boundary, poisoned frame, or device-injected
    mid-request — the machine must recover fault-free, and the recovered
    tree must equal the oracle's committed state.  Every open transaction
@@ -147,14 +138,10 @@ let verify st ~phase =
    clients themselves discover the death lazily, as ECONNRESET or a
    transparent reconnect, which is the point of the exercise.
 
-   One caveat: a crash can fire in the middle of an op's RPC (poisoned
-   frame, device crash mid-exec) whose mutation may have committed but
-   not yet reached the oracle — the reply was still in flight.  Checking
-   then would compare against a stale oracle, so the verify is deferred
-   until the op's own handler has resolved the outcome (by probe if it
-   was ambiguous). *)
+   A crash in the middle of an op's RPC defers the verify until that
+   op has settled ({!Oracle.remote_crashed}). *)
 let on_server_crash st _server =
-  trace st "== SERVER CRASH after op %d (in_flight=%b)" st.o.ops_attempted st.in_flight;
+  trace st "== SERVER CRASH after op %d (in_flight=%b)" st.o.ops_attempted st.r.in_flight;
   Faultsim.clear_schedule st.plan;
   let rep = Recovery.crash_and_recover st.fs in
   if not (Recovery.is_clean rep) then
@@ -166,7 +153,7 @@ let on_server_crash st _server =
      resolves its outcome (by probe if ambiguous) and clears it. *)
   Array.iter
     (fun (cs : Client.t Oracle.sess) ->
-      let is_current = match st.current with Some c -> c == cs | None -> false in
+      let is_current = match st.r.current with Some c -> c == cs | None -> false in
       (* a transaction that is still only a held Begin never reached the
          server: nothing ran in it, so the crash leaves it open *)
       if not (is_current || Client.begin_held cs.h) then begin
@@ -174,57 +161,8 @@ let on_server_crash st _server =
         Oracle.clear_overlay cs;
         cs.pending <- None
       end)
-    st.w.sessions;
-  if st.in_flight then st.verify_pending <- true else verify st ~phase:"post-crash"
-
-let run_one_op st =
-  let o = st.o in
-  o.ops_attempted <- o.ops_attempted + 1;
-  trace st "-- op %d" o.ops_attempted;
-  let cs, op = Oracle.next_op o st.w in
-  cs.pending <- None;
-  st.current <- Some cs;
-  st.in_flight <- true;
-  (match op o st.w cs with
-  | u ->
-    Oracle.record o cs u;
-    o.ops_applied <- o.ops_applied + 1
-  | exception Errors.Fs_error (Errors.ECONNRESET, msg) ->
-    trace st "s%d .. ECONNRESET: %s" cs.id msg;
-    (* the session died.  If the outcome is ambiguous (a Commit or an
-       auto-commit mutation may or may not have applied), probe the
-       committed state; a clean "transaction aborted" just drops the
-       overlay — the server rolled everything back. *)
-    if Oracle.indeterminate_of_msg msg then Oracle.resolve_indeterminate o st.fs cs
-    else if cs.in_txn then o.aborts <- o.aborts + 1;
-    Oracle.clear_overlay cs
-  | exception Errors.Fs_error ((Errors.EAGAIN | Errors.EDEADLK | Errors.ETIMEDOUT), _)
-    ->
-    trace st "s%d .. lock skip" cs.id;
-    o.lock_skips <- o.lock_skips + 1;
-    Oracle.abort_txn o st.w cs
-  | exception Pagestore.Device.Io_fault _ ->
-    trace st "s%d .. io fault" cs.id;
-    o.io_faults <- o.io_faults + 1;
-    Oracle.abort_txn o st.w cs
-  | exception Not_found ->
-    Oracle.abort_txn o st.w cs
-  | exception Errors.Fs_error (Errors.ENOENT, "raced with a concurrent unlink") ->
-    (* the server's Not_found mapping: a commit or namespace op lost a
-       race with another client's unlink — same benign abort Crashtest
-       tolerates locally *)
-    trace st "s%d .. unlink race" cs.id;
-    Oracle.abort_txn o st.w cs
-  | exception Errors.Fs_error (code, msg) ->
-    mismatch st "unexpected fs error %s: %s" (Errors.code_to_string code) msg;
-    Oracle.abort_txn o st.w cs);
-  cs.pending <- None;
-  st.current <- None;
-  st.in_flight <- false;
-  if st.verify_pending then begin
-    st.verify_pending <- false;
-    verify st ~phase:"post-crash (deferred)"
-  end
+    st.r.w.sessions;
+  Oracle.remote_crashed st.o st.r
 
 let run ?(config = default_config) ~seed () =
   let rng = Rng.create seed in
@@ -252,20 +190,19 @@ let run ?(config = default_config) ~seed () =
       server;
       plan;
       o;
-      w =
-        {
-          Oracle.driver = Oracle.client_driver;
-          sessions = Array.init config.clients mk_client;
-          max_file_bytes = config.max_file_bytes;
-          max_dirs = config.max_dirs;
-          write_segments = true;
-          truncate_growth = 8000;
-          mix_in_txn = Oracle.standard_mix_in_txn;
-          mix_outside = Oracle.standard_mix_outside;
-        };
-      current = None;
-      in_flight = false;
-      verify_pending = false;
+      r =
+        Oracle.remote ~committed:fs ~refusals:[]
+          {
+            Oracle.driver = Oracle.client_driver;
+            read = Fs.read_whole_file;
+            sessions = Array.init config.clients mk_client;
+            max_file_bytes = config.max_file_bytes;
+            max_dirs = config.max_dirs;
+            write_segments = true;
+            truncate_growth = 8000;
+            mix_in_txn = Oracle.standard_mix_in_txn;
+            mix_outside = Oracle.standard_mix_outside;
+          };
     }
   in
   Server.set_on_crash server (fun s -> on_server_crash st s);
@@ -285,17 +222,19 @@ let run ?(config = default_config) ~seed () =
          mid-request, after the op may have partially executed *)
       Faultsim.schedule_random_crash st.plan rng ~within:20;
     if i > 0 && i mod config.crash_interval = 0 then Server.crash_now st.server
-    else run_one_op st;
+    else Oracle.remote_step o st.r;
     if i > 0 && i mod config.snapshot_interval = 0 then take_snapshot st
   done;
   (* Converge: stop injecting, let every client settle (aborting any open
      transaction), then a final boundary crash + full verification. *)
   Faultsim.clear_schedule st.plan;
-  Array.iter (Oracle.abort_txn st.o st.w) st.w.sessions;
+  Array.iter (Oracle.abort_txn st.o st.r.w) st.r.w.sessions;
   Server.crash_now st.server;
   Faultsim.disarm st.plan;
   let net_faults = List.length (Faultsim.net_events st.plan) in
-  let sum f = Array.fold_left (fun a (cs : Client.t Oracle.sess) -> a + f cs.h) 0 st.w.sessions in
+  let sum f =
+    Array.fold_left (fun a (cs : Client.t Oracle.sess) -> a + f cs.h) 0 st.r.w.sessions
+  in
   {
     seed;
     ops_attempted = o.ops_attempted;

@@ -24,7 +24,9 @@
    its committed name and commit writes to it; a path-keyed model would
    freeze the renamed file's content at rename time and diverge.  The
    oids are minted here (identity tokens), never read back from the file
-   system. *)
+   system.  A harness reads a file's committed bytes through a [reader]:
+   the local and client harnesses read the file system itself, the fleet
+   reads the chunk data its shards hold. *)
 
 module SM = Map.Make (String)
 module OM = Map.Make (Int64)
@@ -34,6 +36,7 @@ module Errors = Invfs.Errors
 module Recovery = Invfs.Recovery
 module Device = Pagestore.Device
 module Client = Remote.Client
+module Cluster = Remote.Cluster
 
 type t = {
   rng : Rng.t;
@@ -202,12 +205,15 @@ let take_snapshot o ~depth ts =
 
 type probe = { describe : string; check : Fs.session -> int64 -> bool }
 
-let probe_content path expect =
+(* A file's committed bytes, read through a local session. *)
+type reader = Fs.session -> ?timestamp:int64 -> string -> bytes
+
+let probe_content (read : reader) path expect =
   {
     describe = Printf.sprintf "content of %s" path;
     check =
       (fun s ts ->
-        match Fs.read_whole_file s ~timestamp:ts path with
+        match read s ~timestamp:ts path with
         | real -> Bytes.equal real expect
         | exception Errors.Fs_error _ -> false);
   }
@@ -231,7 +237,7 @@ let probe_always = { describe = "(no observable difference)"; check = (fun _ _ -
    state and "landed" is vacuously true.  Name changes probe first (a
    created or vacated path is the crispest signal); content updates need
    a path that would name the oid after the commit. *)
-let probe_of_updates o u =
+let probe_of_updates o ~read u =
   let tombstoned p = List.exists (fun (q, v) -> q = p && v = None) u.u_names in
   let path_of_oid oid =
     match List.find_opt (fun (_, v) -> v = Some oid) u.u_names with
@@ -249,7 +255,7 @@ let probe_of_updates o u =
       | Some path -> (
         match OM.find_opt oid o.files with
         | Some cur when Bytes.equal b cur -> files rest
-        | _ -> probe_content path b))
+        | _ -> probe_content read path b))
   in
   let rec names = function
     | [] -> files u.u_files
@@ -264,7 +270,7 @@ let landed fs probe = probe.check (Fs.new_session fs) (Relstore.Db.now (Fs.db fs
 
 type 'h sess = {
   id : int;
-  mutable h : 'h; (* the harness's handle: a local session or a client *)
+  mutable h : 'h; (* the harness's handle: a local session, a client or a fleet connection *)
   mutable in_txn : bool;
   mutable ov_names : int64 option SM.t; (* None = unlinked in this txn *)
   mutable ov_files : bytes OM.t;
@@ -314,27 +320,25 @@ let view_content o ss oid =
 
 let view_dirs o ss = List.rev_append ss.ov_dirs (dir_list o) |> List.sort_uniq String.compare
 
-let settle_pending o fs ~id pending ~apply =
+(* Settle a session's ambiguous outcome: probe its pending op, commit the
+   op's updates if they landed, and count its transaction as committed or
+   aborted. *)
+let resolve_indeterminate o fs ss =
   o.indeterminate <- o.indeterminate + 1;
-  match pending with
-  | None ->
-    mismatch o "s%d: indeterminate outcome but no pending op to probe" id;
-    None
+  match ss.pending with
+  | None -> mismatch o "s%d: indeterminate outcome but no pending op to probe" ss.id
   | Some (u, probe) ->
     o.time_travel_checks <- o.time_travel_checks + 1;
     let l = landed fs probe in
-    trace o "s%d .. probe of %s: %s" id probe.describe (if l then "LANDED" else "did not land");
+    trace o "s%d .. probe of %s: %s" ss.id probe.describe (if l then "LANDED" else "did not land");
     if l then begin
       o.landed <- o.landed + 1;
-      apply u
+      commit_updates o u
     end;
-    Some l
-
-let resolve_indeterminate o fs ss =
-  match settle_pending o fs ~id:ss.id ss.pending ~apply:(commit_updates o) with
-  | Some true when ss.in_txn -> o.commits <- o.commits + 1
-  | Some false when ss.in_txn -> o.aborts <- o.aborts + 1
-  | _ -> ()
+    match (ss.in_txn, l) with
+    | true, true -> o.commits <- o.commits + 1
+    | true, false -> o.aborts <- o.aborts + 1
+    | false, _ -> ()
 
 (* ---------- drivers ---------- *)
 
@@ -388,10 +392,63 @@ let client_driver =
     abort = Client.c_abort;
   }
 
+(* A fleet client.  Metadata goes to the coordinator.  Data has no fds:
+   [open_rw] returns the real oid the coordinator holds for the path as
+   the "fd", and [pos] keeps the offset the data calls address. *)
+type cluster_conn = { conn : Cluster.conn; mutable pos : int }
+
+let cluster_driver =
+  let coord f h = f (Cluster.coord h.conn) and c = client_driver in
+  let oid_of h path = (Client.c_stat (Cluster.coord h.conn) path).Invfs.Fileatt.file in
+  let span = 65536 in
+  {
+    creat = coord c.creat;
+    mkdir = coord c.mkdir;
+    open_rw =
+      (fun h path ->
+        h.pos <- 0;
+        Int64.to_int (oid_of h path));
+    seek = (fun h _ off -> h.pos <- off);
+    write =
+      (fun h fd b ->
+        let data = Bytes.to_string b in
+        let off = Int64.of_int h.pos in
+        h.pos <- h.pos + Cluster.shard_write h.conn ~oid:(Int64.of_int fd) ~off ~data);
+    ftruncate =
+      (fun h fd len ->
+        Cluster.shard_truncate h.conn ~oid:(Int64.of_int fd) ~size:(Int64.of_int len));
+    close = (fun _ _ -> ());
+    unlink = coord c.unlink;
+    rename = coord c.rename;
+    read_whole =
+      (fun h path ->
+        let oid = oid_of h path and buf = Buffer.create span in
+        let rec go () =
+          let off = Int64.of_int (Buffer.length buf) in
+          let got = Cluster.shard_read h.conn ~oid ~off ~len:span in
+          Buffer.add_string buf got;
+          if String.length got = span then go ()
+        in
+        go ();
+        Buffer.to_bytes buf);
+    begin_txn = coord c.begin_txn;
+    commit = coord c.commit;
+    abort = coord c.abort;
+  }
+
+(* The fleet's committed bytes: the path's real oid from the namespace,
+   then the authoritative shard copy.  The chunk data is read as of now
+   whatever the timestamp, which suits probes and verifies but not time
+   travel. *)
+let cluster_reader cluster s ?timestamp path =
+  let oid = (Fs.stat s ?timestamp path).Invfs.Fileatt.file in
+  Bytes.of_string (Cluster.peek_data cluster ~oid)
+
 (* ---------- the op generator ---------- *)
 
 type 'h workload = {
   driver : 'h driver;
+  read : reader; (* how probes and verifies read committed bytes *)
   sessions : 'h sess array;
   max_file_bytes : int;
   max_dirs : int;
@@ -456,7 +513,7 @@ let op_write o w ss =
     let d = w.driver in
     let fd = d.open_rw ss.h path in
     d.seek ss.h fd off;
-    intend ss u (probe_content path after);
+    intend ss u (probe_content w.read path after);
     List.iter (d.write ss.h fd) segs;
     d.close ss.h fd;
     u
@@ -473,7 +530,7 @@ let op_truncate o w ss =
     let u = { no_updates with u_files = [ (oid, after) ] } in
     let d = w.driver in
     let fd = d.open_rw ss.h path in
-    intend ss u (probe_content path after);
+    intend ss u (probe_content w.read path after);
     d.ftruncate ss.h fd new_len;
     d.close ss.h fd;
     u
@@ -519,7 +576,7 @@ let op_begin o w ss =
 let op_commit o w ss =
   trace o "s%d commit" ss.id;
   let u = overlay_updates ss in
-  intend ss u (probe_of_updates o u);
+  intend ss u (probe_of_updates o ~read:w.read u);
   w.driver.commit ss.h;
   (* merge only after the commit returned: if it raised, nothing lands *)
   commit_updates o u;
@@ -567,25 +624,28 @@ let abort_txn o w ss =
 (* ---------- verification ---------- *)
 
 (* Recursively walk the real tree through [s] and collect files (with
-   contents) and directories. *)
-let walk_real s =
+   contents, through [read]) and directories.  Dot-names are skipped: no
+   workload makes one, and the fleet's coordinator keeps its placement
+   map in [/.placement]. *)
+let walk_real ~(read : reader) s =
   let files = ref SM.empty and dirs = ref SM.empty in
   let rec go dir =
     dirs := SM.add dir () !dirs;
     List.iter
       (fun name ->
         let path = join dir name in
-        let att = Fs.stat s path in
-        if att.Invfs.Fileatt.ftype = "directory" then go path
-        else files := SM.add path (Fs.read_whole_file s path) !files)
+        if not (String.starts_with ~prefix:"." name) then
+          let att = Fs.stat s path in
+          if att.Invfs.Fileatt.ftype = "directory" then go path
+          else files := SM.add path (read s path) !files)
       (Fs.readdir s dir)
   in
   go "/";
   (!files, !dirs)
 
-let verify_full_state o s ~phase =
+let verify_full_state o ~read s ~phase =
   o.full_verifies <- o.full_verifies + 1;
-  let real_files, real_dirs = walk_real s in
+  let real_files, real_dirs = walk_real ~read s in
   let dirs_expect = dir_list o in
   let dirs_real = List.map fst (SM.bindings real_dirs) in
   if dirs_expect <> dirs_real then
@@ -664,7 +724,7 @@ let crash_local o fs plan sessions ~injected =
       ss.h <- Fs.new_session fs;
       clear_overlay ss)
     sessions;
-  verify_full_state o sessions.(0).h ~phase:"post-crash";
+  verify_full_state o ~read:Fs.read_whole_file sessions.(0).h ~phase:"post-crash";
   check_time_travel o sessions.(0).h;
   rep
 
@@ -699,3 +759,80 @@ let local_step o w ~crash =
   | exception Errors.Fs_error (code, msg) ->
     mismatch o "unexpected fs error %s: %s" (Errors.code_to_string code) msg;
     abort_txn o w ss
+
+(* ---------- the remote harnesses' op step ---------- *)
+
+type 'h remote = {
+  w : 'h workload;
+  committed : Fs.t; (* the namespace's file system: probes and verifies read it *)
+  refusals : Errors.code list; (* more codes that mean "not executed" *)
+  mutable current : 'h sess option; (* the session whose op is executing *)
+  mutable in_flight : bool; (* an op's RPC is executing right now *)
+  mutable verify_pending : bool; (* a mid-op crash deferred its verify *)
+}
+
+let remote w ~committed ~refusals =
+  { w; committed; refusals; current = None; in_flight = false; verify_pending = false }
+
+(* The committed state is read through fresh local sessions: the
+   clients' sessions may be mid-transaction or dead. *)
+let verify_remote o r ~phase =
+  verify_full_state o ~read:r.w.read (Fs.new_session r.committed) ~phase;
+  check_time_travel o (Fs.new_session r.committed)
+
+(* A crash can fire in the middle of an op's RPC whose mutation may have
+   committed but not yet reached the model — the reply was still in
+   flight.  Checking then would compare against a stale model, so the
+   verify waits until the op's own handler has settled the outcome. *)
+let remote_crashed o r =
+  if r.in_flight then r.verify_pending <- true else verify_remote o r ~phase:"post-crash"
+
+(* One op of a remote workload, and the classification of its failure. *)
+let remote_step o r =
+  let w = r.w in
+  o.ops_attempted <- o.ops_attempted + 1;
+  trace o "-- op %d" o.ops_attempted;
+  let ss, op = next_op o w in
+  ss.pending <- None;
+  r.current <- Some ss;
+  r.in_flight <- true;
+  (match op o w ss with
+  | u ->
+    record o ss u;
+    o.ops_applied <- o.ops_applied + 1
+  | exception Errors.Fs_error (Errors.ECONNRESET, msg) ->
+    trace o "s%d .. ECONNRESET: %s" ss.id msg;
+    (* the session died.  If the outcome is ambiguous (a Commit or an
+       auto-commit mutation may or may not have applied), probe the
+       committed state; a clean "transaction aborted" just drops the
+       overlay — the server rolled everything back. *)
+    if indeterminate_of_msg msg then resolve_indeterminate o r.committed ss
+    else if ss.in_txn then o.aborts <- o.aborts + 1;
+    clear_overlay ss
+  | exception Errors.Fs_error (code, _)
+    when List.mem code (Errors.EAGAIN :: Errors.EDEADLK :: Errors.ETIMEDOUT :: r.refusals) ->
+    (* definitively not executed: lock conflicts, shed work whose
+       re-offers ran out, and the harness's own refusals *)
+    trace o "s%d .. skip (%s)" ss.id (Errors.code_to_string code);
+    o.lock_skips <- o.lock_skips + 1;
+    abort_txn o w ss
+  | exception Device.Io_fault _ ->
+    trace o "s%d .. io fault" ss.id;
+    o.io_faults <- o.io_faults + 1;
+    abort_txn o w ss
+  | exception Errors.Fs_error (Errors.ENOENT, "raced with a concurrent unlink") ->
+    (* the server's Not_found mapping: a commit or namespace op lost a
+       race with another client's unlink — the benign abort the local
+       harnesses tolerate *)
+    trace o "s%d .. unlink race" ss.id;
+    abort_txn o w ss
+  | exception Errors.Fs_error (code, msg) ->
+    mismatch o "unexpected fs error %s: %s" (Errors.code_to_string code) msg;
+    abort_txn o w ss);
+  ss.pending <- None;
+  r.current <- None;
+  r.in_flight <- false;
+  if r.verify_pending then begin
+    r.verify_pending <- false;
+    verify_remote o r ~phase:"post-crash (deferred)"
+  end

@@ -1,17 +1,18 @@
 (** The differential oracle shared by the fault harnesses
-    ({!Crashtest}, {!Vacuumtest}, {!Nettest}; {!Loadtest} and
-    {!Shardtest} keep their own models and use the bookkeeping, probes
-    and helpers).
+    ({!Crashtest}, {!Vacuumtest}, {!Nettest}, {!Shardtest}; {!Loadtest}
+    keeps its own model and uses the bookkeeping, probes and helpers).
 
-    A pure in-memory model tracks the committed state the real
-    {!Invfs.Fs} must equal while a seeded workload runs against it, with
-    each session's open transaction buffered in an overlay until its
-    commit returns.  The op generator drives the real system through a
-    small {!driver} record (a local {!Invfs.Fs.session} or a
-    {!Remote.Client.t}); every mutating op registers its intended
+    A pure in-memory model tracks the committed state the real system
+    must equal while a seeded workload runs against it, with each
+    session's open transaction buffered in an overlay until its commit
+    returns.  The op generator drives the real system through a small
+    {!driver} record (a local {!Invfs.Fs.session}, a {!Remote.Client.t},
+    or a fleet connection); every mutating op registers its intended
     updates and a durable {!probe} first, so a harness can settle an
     indeterminate outcome by reading the committed state [As_of] now.
-    See DESIGN.md, "Differential oracle". *)
+    Probes and verifies read a file's bytes through a {!reader}: the
+    file system itself, or the fleet's shard copies.  See DESIGN.md,
+    "Differential oracle". *)
 
 module SM : Map.S with type key = string
 module OM : Map.S with type key = int64
@@ -73,9 +74,6 @@ val splice : bytes -> off:int -> bytes -> bytes
 val resize : bytes -> int -> bytes
 (** Cut or zero-extend to a length, as [ftruncate] does. *)
 
-val indeterminate_of_msg : string -> bool
-(** Whether a client [ECONNRESET] message names the ambiguous outcome. *)
-
 type updates = {
   u_names : (string * int64 option) list;  (** in order; [None] = unlinked *)
   u_files : (int64 * bytes) list;  (** new contents per oid *)
@@ -97,10 +95,16 @@ val take_snapshot : t -> depth:int -> int64 -> unit
 type probe = { describe : string; check : Invfs.Fs.session -> int64 -> bool }
 (** [check s ts] reads the committed state [As_of ts] (no locks). *)
 
+type reader = Invfs.Fs.session -> ?timestamp:int64 -> string -> bytes
+(** A file's committed bytes by path, read through a local session of
+    the file system that holds the namespace.  {!Invfs.Fs.read_whole_file}
+    is the local and client harnesses' reader; {!cluster_reader} the
+    fleet's. *)
+
 val probe_exists : string -> probe
 val probe_absent : string -> probe
 
-val probe_of_updates : t -> updates -> probe
+val probe_of_updates : t -> read:reader -> updates -> probe
 (** The first update that would change the committed model decides;
     if none would, "landed" is vacuously true. *)
 
@@ -111,7 +115,7 @@ val landed : Invfs.Fs.t -> probe -> bool
 
 type 'h sess = {
   id : int;
-  mutable h : 'h;  (** the real handle: a local session or a client *)
+  mutable h : 'h;  (** the real handle: a local session, a client or a fleet connection *)
   mutable in_txn : bool;
   mutable ov_names : int64 option SM.t;  (** [None] = unlinked in this txn *)
   mutable ov_files : bytes OM.t;
@@ -130,16 +134,6 @@ val overlay_updates : 'h sess -> updates
 val record : t -> 'h sess -> updates -> unit
 (** An op's updates: into the overlay inside a transaction, else
     committed. *)
-
-val settle_pending :
-  t -> Invfs.Fs.t -> id:int -> ('u * probe) option -> apply:('u -> unit) -> bool option
-(** Settle session [id]'s ambiguous outcome: probe the pending op and
-    [apply] its updates if it landed.  [Some landed], or [None] (and a
-    mismatch) when no op was pending. *)
-
-val resolve_indeterminate : t -> Invfs.Fs.t -> 'h sess -> unit
-(** {!settle_pending} for a model session: commit its updates if they
-    landed, and count its transaction as committed or aborted. *)
 
 (** {1 Drivers and the op generator} *)
 
@@ -162,8 +156,26 @@ type 'h driver = {
 val local_driver : Invfs.Fs.session driver
 val client_driver : Remote.Client.t driver
 
+type cluster_conn = { conn : Remote.Cluster.conn; mutable pos : int }
+(** A fleet client for {!cluster_driver}.  [pos] is the offset the next
+    data call addresses. *)
+
+val cluster_driver : cluster_conn driver
+(** Metadata calls go to {!Remote.Cluster.coord}.  [open_rw] and
+    [read_whole] turn the path into the real oid the coordinator holds
+    (a stat); [open_rw] returns that oid as the fd, and [write],
+    [ftruncate] and [read_whole] call the [Cluster.shard_*] data plane
+    with it.  [close] does nothing. *)
+
+val cluster_reader : Remote.Cluster.t -> reader
+(** Stat on the coordinator's file system, then
+    {!Remote.Cluster.peek_data} of that oid.  The chunk data is read as
+    of now whatever the timestamp: right for probes and verifies, not
+    for time travel. *)
+
 type 'h workload = {
   driver : 'h driver;
+  read : reader;  (** how probes and verifies read committed bytes *)
   sessions : 'h sess array;
   max_file_bytes : int;  (** writes past this only overwrite *)
   max_dirs : int;  (** mkdir turns into create at this many *)
@@ -204,12 +216,13 @@ val abort_txn : t -> 'h workload -> 'h sess -> unit
 
 (** {1 Verification} *)
 
-val walk_real : Invfs.Fs.session -> bytes SM.t * unit SM.t
-(** The real tree: every file with its contents, every directory. *)
+val walk_real : read:reader -> Invfs.Fs.session -> bytes SM.t * unit SM.t
+(** The real tree: every file with its contents, every directory.
+    Dot-names are skipped (the fleet keeps its placement map in one). *)
 
-val verify_full_state : t -> Invfs.Fs.session -> phase:string -> unit
-(** Compare the real tree, read through the session, with the committed
-    model: directories, file names and contents. *)
+val verify_full_state : t -> read:reader -> Invfs.Fs.session -> phase:string -> unit
+(** Compare the real tree, walked through the session, with the
+    committed model: directories, file names and contents. *)
 
 val check_time_travel : t -> Invfs.Fs.session -> unit
 (** Read every remembered instant back [As_of] its timestamp: each
@@ -229,4 +242,35 @@ val local_step : t -> Invfs.Fs.session workload -> crash:(unit -> unit) -> unit
 (** Run one generated op and classify its failure: an injected crash
     calls [crash]; I/O faults, lock conflicts and commit-time unlink
     races abort the session's transaction; anything else is a
+    mismatch. *)
+
+(** {1 Remote harnesses} *)
+
+type 'h remote = {
+  w : 'h workload;
+  committed : Invfs.Fs.t;  (** holds the namespace; probes and verifies read it *)
+  refusals : Invfs.Errors.code list;
+      (** codes that mean "not executed", beyond lock conflicts and
+          timeouts ([EAGAIN], [EDEADLK], [ETIMEDOUT]) *)
+  mutable current : 'h sess option;  (** the session whose op is executing *)
+  mutable in_flight : bool;  (** an op's RPC is executing right now *)
+  mutable verify_pending : bool;  (** a mid-op crash deferred its verify *)
+}
+
+val remote : 'h workload -> committed:Invfs.Fs.t -> refusals:Invfs.Errors.code list -> 'h remote
+
+val verify_remote : t -> 'h remote -> phase:string -> unit
+(** {!verify_full_state} and {!check_time_travel} through fresh sessions
+    of [committed]. *)
+
+val remote_crashed : t -> 'h remote -> unit
+(** Call after a crash's recovery: {!verify_remote} now, or, while an
+    op is in flight (its effect may have committed without reaching the
+    model), right after that op settles. *)
+
+val remote_step : t -> 'h remote -> unit
+(** Run one generated op and classify its failure: an ambiguous session
+    loss is settled by probe; a clean one drops the overlay; lock
+    conflicts, timeouts, the [refusals] and I/O faults are skips (the
+    transaction aborts); an unlink race aborts; anything else is a
     mismatch. *)

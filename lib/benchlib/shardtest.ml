@@ -9,33 +9,26 @@
    whole fleet, and heartbeat-path partitions long enough to trigger
    real failovers (fence, handoff, redirect).
 
-   The oracle is oid-keyed: [names] binds coordinator paths to global
-   file identities (the {e real} oids, learned by stat — the data plane
-   is addressed by them) and [files] holds committed chunk contents per
-   identity.  No transactions ride the data plane, so there are no
-   overlays; every op is one logical exchange and the ambiguous outcome
-   — a mutation whose session died before the reply — is resolved by a
-   durable probe: coordinator namespace for metadata, the authoritative
-   shard copy ({!Cluster.peek_data}) for chunk data.  ESTALE and EBUSY
-   refusals that survive the conn's own redirect budget are
-   definitively-not-executed and skip cleanly.
+   The model, op generator, probes, verifies and op step are Oracle's.
+   The fleet splits metadata from data, so one model describes it: the
+   namespace lives in the coordinator's file system, and
+   Oracle.cluster_driver turns a path into the real oid the coordinator
+   holds before each data call.  No transactions ride the data plane, so
+   there are no overlays.  An ambiguous outcome is settled by a durable
+   probe that reads the coordinator namespace and, for chunk data,
+   Oracle.cluster_reader: the authoritative shard copy
+   ({!Cluster.peek_data}), which follows the handoff protocol's
+   authority rules — the migration source while a bucket is in flight,
+   the owner otherwise.  ESTALE and EBUSY refusals that survive the
+   conn's own redirect budget, and ENOENT from a path another op already
+   moved, are definitively-not-executed and skip cleanly. *)
 
-   Verification walks the coordinator namespace (dotfiles excluded —
-   the durable placement map lives there) and compares every named
-   file's chunk data against the oracle through [peek_data], which
-   follows the handoff protocol's authority rules: the migration source
-   while a bucket is in flight, the owner otherwise. *)
-
-module SM = Map.Make (String)
-module OM = Map.Make (Int64)
 module Rng = Simclock.Rng
 module Clock = Simclock.Clock
-module Fs = Invfs.Fs
 module Errors = Invfs.Errors
 module Client = Remote.Client
 module Server = Remote.Server
 module Cluster = Remote.Cluster
-module Link = Netsim.Link
 
 type config = {
   ops : int;
@@ -102,214 +95,28 @@ let outcome_to_string o =
     o.reconnects o.sessions_lost o.indeterminate o.landed o.heartbeats
     o.net_faults o.messages o.full_verifies (List.length o.mismatches)
 
-(* ---------- oracle ----------
-
-   Its own model, not Oracle's: the key is the real oid, learned lazily,
-   where Oracle mints identity tokens.  The bookkeeping, the namespace
-   probes and the helpers are Oracle's. *)
-
-type oracle = {
-  mutable names : int64 SM.t; (* path -> real oid; 0L = not yet learned *)
-  mutable files : bytes OM.t; (* oid -> committed chunk contents *)
-  mutable dirs : unit SM.t;
-}
-
-type update =
-  | U_none
-  | U_create of string
-  | U_mkdir of string
-  | U_unlink of string
-  | U_rename of string * string
-  | U_data of int64 * bytes
-
-let apply_update ora = function
-  | U_none -> ()
-  | U_create path -> ora.names <- SM.add path 0L ora.names
-  | U_mkdir path -> ora.dirs <- SM.add path () ora.dirs
-  | U_unlink path -> ora.names <- SM.remove path ora.names
-  | U_rename (src, dst) -> (
-    match SM.find_opt src ora.names with
-    | Some oid ->
-      ora.names <- SM.add dst oid (SM.remove src ora.names);
-      ()
-    | None -> ())
-  | U_data (oid, data) -> ora.files <- OM.add oid data ora.files
-
 (* ---------- harness state ---------- *)
-
-type csess = {
-  id : int;
-  conn : Cluster.conn;
-  mutable pending : (update * Oracle.probe) option;
-      (* the in-flight op's intent plus the durable probe that decides
-         an indeterminate outcome *)
-}
 
 type state = {
   cfg : config;
-  clock : Clock.t;
   cluster : Cluster.t;
   plan : Faultsim.t;
-  ora : oracle;
-  o : Oracle.t; (* the name counter, tallies and the mismatch log *)
-  clients : csess array;
-  mutable skips : int;
+  o : Oracle.t;
+  r : Oracle.cluster_conn Oracle.remote;
   mutable crash_rr : int; (* boundary crashes rotate over members *)
   mutable cut : (int * int) option; (* (shard, heal-at-op) active partition *)
-  mutable current : csess option;
-  mutable in_flight : bool;
-  mutable verify_pending : bool;
 }
 
 let trace st fmt = Oracle.trace st.o fmt
 let mismatch st fmt = Oracle.mismatch st.o fmt
-let pick st l = Oracle.pick st.o l
 
-let pick_dir st = pick st (List.map fst (SM.bindings st.ora.dirs))
-
-let pick_file st =
-  match SM.bindings st.ora.names with [] -> None | files -> Some (pick st files)
-
-let content st oid =
-  Option.value ~default:(Bytes.create 0) (OM.find_opt oid st.ora.files)
-
-(* ---------- durable probes ---------- *)
-
-let coord_fs st = Server.fs (Cluster.member_server st.cluster 0)
-
-(* Chunk data lives on the shards: compare what the owner holds. *)
-let probe_data st oid expect =
-  {
-    Oracle.describe = Printf.sprintf "data of oid %Ld" oid;
-    check = (fun _ _ -> String.equal (Cluster.peek_data st.cluster ~oid) (Bytes.to_string expect));
-  }
-
-(* The real oid is the data plane's address: learn it by stat the first
-   time a path's data is touched.  Reissuable and read-only, so a
-   failure here is always a clean skip. *)
-let resolve_oid st cs path =
-  match SM.find_opt path st.ora.names with
-  | None -> None
-  | Some oid when oid <> 0L -> Some oid
-  | Some _ ->
-    let att = Client.c_stat (Cluster.coord cs.conn) path in
-    let oid = att.Invfs.Fileatt.file in
-    st.ora.names <- SM.add path oid st.ora.names;
-    Some oid
-
-(* ---------- ops ---------- *)
-
-let op_create st cs =
-  let path = Oracle.join (pick_dir st) (Oracle.fresh_name st.o "f") in
-  trace st "s%d creat %s" cs.id path;
-  let u = U_create path in
-  cs.pending <- Some (u, Oracle.probe_exists path);
-  let coord = Cluster.coord cs.conn in
-  let fd = Client.c_creat coord path in
-  Client.c_close coord fd;
-  u
-
-let op_mkdir st cs =
-  if SM.cardinal st.ora.dirs >= st.cfg.max_dirs then op_create st cs
-  else begin
-    let path = Oracle.join (pick_dir st) (Oracle.fresh_name st.o "d") in
-    trace st "s%d mkdir %s" cs.id path;
-    let u = U_mkdir path in
-    cs.pending <- Some (u, Oracle.probe_exists path);
-    Client.c_mkdir (Cluster.coord cs.conn) path;
-    u
-  end
-
-let op_write st cs =
-  match pick_file st with
-  | None -> op_create st cs
-  | Some (path, _) -> (
-    match resolve_oid st cs path with
-    | None -> U_none
-    | Some oid ->
-      let cur = content st oid in
-      let len = Bytes.length cur in
-      let dlen = 1 + Rng.int st.o.rng 6800 in
-      let off =
-        if len + dlen > st.cfg.max_file_bytes then
-          if len - dlen <= 0 then 0 else Rng.int st.o.rng (len - dlen + 1)
-        else Rng.int st.o.rng (len + 1)
-      in
-      trace st "s%d write oid=%Ld (%s) off=%d len=%d cur=%d" cs.id oid path off dlen len;
-      let data = Rng.bytes st.o.rng dlen in
-      let after = Oracle.splice cur ~off data in
-      let u = U_data (oid, after) in
-      cs.pending <- Some (u, probe_data st oid after);
-      ignore
-        (Cluster.shard_write cs.conn ~oid ~off:(Int64.of_int off)
-           ~data:(Bytes.to_string data)
-          : int);
-      u)
-
-let op_truncate st cs =
-  match pick_file st with
-  | None -> op_create st cs
-  | Some (path, _) -> (
-    match resolve_oid st cs path with
-    | None -> U_none
-    | Some oid ->
-      let cur = content st oid in
-      let len = Bytes.length cur in
-      let new_len = Rng.int st.o.rng (min (len + 6000) st.cfg.max_file_bytes + 1) in
-      trace st "s%d trunc oid=%Ld (%s) %d -> %d" cs.id oid path len new_len;
-      let after = Oracle.resize cur new_len in
-      let u = U_data (oid, after) in
-      cs.pending <- Some (u, probe_data st oid after);
-      Cluster.shard_truncate cs.conn ~oid ~size:(Int64.of_int new_len);
-      u)
-
-let op_read_check st cs =
-  (match pick_file st with
-  | None -> ()
-  | Some (path, _) -> (
-    match resolve_oid st cs path with
-    | None -> ()
-    | Some oid ->
-      trace st "s%d read oid=%Ld (%s)" cs.id oid path;
-      let expect = Bytes.to_string (content st oid) in
-      let real =
-        Cluster.shard_read cs.conn ~oid ~off:0L ~len:(String.length expect + 64)
-      in
-      (match Oracle.bytes_diff (Bytes.of_string expect) (Bytes.of_string real) with
-      | None -> ()
-      | Some d -> mismatch st "read oid=%Ld (%s) diverged mid-run: %s" oid path d)));
-  U_none
-
-let op_unlink st cs =
-  match pick_file st with
-  | None -> op_create st cs
-  | Some (path, _) ->
-    trace st "s%d unlink %s" cs.id path;
-    let u = U_unlink path in
-    cs.pending <- Some (u, Oracle.probe_absent path);
-    Client.c_unlink (Cluster.coord cs.conn) path;
-    u
-
-let op_rename st cs =
-  match pick_file st with
-  | None -> op_create st cs
-  | Some (path, _) ->
-    let dst = Oracle.join (pick_dir st) (Oracle.fresh_name st.o "r") in
-    trace st "s%d rename %s -> %s" cs.id path dst;
-    let u = U_rename (path, dst) in
-    cs.pending <- Some (u, Oracle.probe_exists dst);
-    Client.c_rename (Cluster.coord cs.conn) path dst;
-    u
-
-let gen_op st =
-  let r = Rng.int st.o.rng 100 in
-  if r < 30 then op_write
-  else if r < 44 then op_create
-  else if r < 50 then op_mkdir
-  else if r < 60 then op_truncate
-  else if r < 68 then op_unlink
-  else if r < 76 then op_rename
-  else op_read_check
+(* The fleet's op weights.  No session ever begins a transaction. *)
+let mix =
+  Oracle.
+    [
+      (30, op_write); (44, op_create); (50, op_mkdir); (60, op_truncate); (68, op_unlink);
+      (76, op_rename); (100, op_read_check);
+    ]
 
 (* ---------- faults ---------- *)
 
@@ -324,110 +131,7 @@ let random_fault st =
      inbound message, mid-request *)
   | _ -> Faultsim.Net_crash_of (Rng.int st.o.rng (st.cfg.nshards + 1))
 
-(* ---------- verification ---------- *)
-
-let verify st ~phase =
-  st.o.full_verifies <- st.o.full_verifies + 1;
-  let fs = coord_fs st in
-  let s = Fs.new_session fs in
-  let ts = Relstore.Db.now (Fs.db fs) in
-  let real_files = ref SM.empty and real_dirs = ref SM.empty in
-  let rec go dir =
-    real_dirs := SM.add dir () !real_dirs;
-    List.iter
-      (fun name ->
-        if String.length name > 0 && name.[0] <> '.' then begin
-          let path = Oracle.join dir name in
-          match Fs.stat s ~timestamp:ts path with
-          | att ->
-            if att.Invfs.Fileatt.ftype = "directory" then go path
-            else real_files := SM.add path att.Invfs.Fileatt.file !real_files
-          | exception Errors.Fs_error (code, _) ->
-            mismatch st "%s: stat %s failed (%s)" phase path (Errors.code_to_string code)
-        end)
-      (Fs.readdir s ~timestamp:ts dir)
-  in
-  go "/";
-  let dirs_expect = List.map fst (SM.bindings st.ora.dirs) in
-  let dirs_real = List.map fst (SM.bindings !real_dirs) in
-  if dirs_expect <> dirs_real then
-    mismatch st "%s: directories differ: oracle [%s] real [%s]" phase
-      (String.concat "," dirs_expect) (String.concat "," dirs_real);
-  SM.iter
-    (fun path oid ->
-      match SM.find_opt path !real_files with
-      | None -> mismatch st "%s: %s missing from namespace" phase path
-      | Some real_oid ->
-        if oid <> 0L && oid <> real_oid then
-          mismatch st "%s: %s identity differs: oracle oid %Ld, real %Ld" phase path
-            oid real_oid;
-        let key = if oid = 0L then real_oid else oid in
-        let expect =
-          match OM.find_opt key st.ora.files with
-          | Some b -> Bytes.to_string b
-          | None -> ""
-        in
-        let real = Cluster.peek_data st.cluster ~oid:real_oid in
-        if not (String.equal real expect) then
-          mismatch st "%s: %s (oid %Ld) chunk data differs: %s" phase path real_oid
-            (Option.value ~default:"?"
-               (Oracle.bytes_diff (Bytes.of_string expect) (Bytes.of_string real))))
-    st.ora.names;
-  SM.iter
-    (fun path _ ->
-      if not (SM.mem path st.ora.names) then
-        mismatch st "%s: namespace has unexpected file %s" phase path)
-    !real_files
-
 (* ---------- the run ---------- *)
-
-let run_one_op st =
-  st.o.ops_attempted <- st.o.ops_attempted + 1;
-  trace st "-- op %d" st.o.ops_attempted;
-  Cluster.pump st.cluster;
-  let cs = st.clients.(Rng.int st.o.rng (Array.length st.clients)) in
-  let op = gen_op st in
-  cs.pending <- None;
-  st.current <- Some cs;
-  st.in_flight <- true;
-  (match op st cs with
-  | u ->
-    apply_update st.ora u;
-    st.o.ops_applied <- st.o.ops_applied + 1
-  | exception Errors.Fs_error (Errors.ECONNRESET, msg) ->
-    trace st "s%d .. ECONNRESET: %s" cs.id msg;
-    if Oracle.indeterminate_of_msg msg then
-      ignore
-        (Oracle.settle_pending st.o (coord_fs st) ~id:cs.id cs.pending
-           ~apply:(apply_update st.ora)
-          : bool option)
-  | exception
-      Errors.Fs_error
-        ( ( Errors.EAGAIN | Errors.EDEADLK | Errors.ETIMEDOUT | Errors.EBUSY
-          | Errors.ESTALE ),
-          _ ) ->
-    (* all definitively-not-executed: lock conflicts, shed work whose
-       re-offers ran out, and stale-placement refusals that outlived the
-       conn's redirect budget *)
-    trace st "s%d .. skip" cs.id;
-    st.skips <- st.skips + 1
-  | exception Pagestore.Device.Io_fault _ ->
-    trace st "s%d .. io fault" cs.id;
-    st.skips <- st.skips + 1
-  | exception Errors.Fs_error (Errors.ENOENT, _) ->
-    (* a metadata op lost a race with an unlink/rename the oracle already
-       applied; the op did nothing *)
-    trace st "s%d .. enoent skip" cs.id;
-    st.skips <- st.skips + 1
-  | exception Errors.Fs_error (code, msg) ->
-    mismatch st "unexpected fs error %s: %s" (Errors.code_to_string code) msg);
-  cs.pending <- None;
-  st.current <- None;
-  st.in_flight <- false;
-  if st.verify_pending then begin
-    st.verify_pending <- false;
-    verify st ~phase:"post-crash (deferred)"
-  end
 
 let heal st =
   match st.cut with
@@ -437,18 +141,21 @@ let heal st =
     st.cut <- None
   | None -> ()
 
-let settle st =
-  (* let detection, failover, handoffs and garbage drops run dry *)
+(* Pump until failover handoffs and garbage drops run dry, half a
+   heartbeat per turn, for at most 300 turns. *)
+let drain clock cluster =
   let rec go k =
-    Cluster.pump st.cluster;
-    let s = Cluster.stats st.cluster in
-    if (s.Cluster.handoffs_pending > 0 || s.Cluster.drops_pending > 0) && k < 300
-    then begin
-      Clock.advance st.clock ~account:"shardtest.settle" (st.cfg.hb_interval /. 2.);
+    Cluster.pump cluster;
+    let s = Cluster.stats cluster in
+    if (s.Cluster.handoffs_pending > 0 || s.Cluster.drops_pending > 0) && k < 300 then begin
+      Clock.advance clock ~account:"shardtest.drain" (Cluster.hb_interval cluster /. 2.);
       go (k + 1)
     end
   in
-  go 0;
+  go 0
+
+let settle st clock =
+  drain clock st.cluster;
   let s = Cluster.stats st.cluster in
   if s.Cluster.handoffs_pending > 0 then
     mismatch st "converge: %d handoffs never completed" s.Cluster.handoffs_pending;
@@ -466,42 +173,44 @@ let run ?(config = default_config) ~seed () =
   in
   (* server-to-server links join the same fault plan as client traffic *)
   List.iter (fun (tag, link) -> Faultsim.arm_link plan ~tag link) (Cluster.internal_links cluster);
-  let ora = { names = SM.empty; files = OM.empty; dirs = SM.add "/" () SM.empty } in
   let mk_client id =
+    let on_link tag link = Faultsim.arm_link plan ~tag link in
+    let conn = Cluster.connect cluster ~on_link ~rng:(Rng.split rng) () in
+    Oracle.sess id { Oracle.conn; pos = 0 }
+  in
+  let w =
     {
-      id;
-      conn =
-        Cluster.connect cluster
-          ~on_link:(fun tag link -> Faultsim.arm_link plan ~tag link)
-          ~rng:(Rng.split rng) ();
-      pending = None;
+      Oracle.driver = Oracle.cluster_driver;
+      read = Oracle.cluster_reader cluster;
+      sessions = Array.init config.clients mk_client;
+      max_file_bytes = config.max_file_bytes;
+      max_dirs = config.max_dirs;
+      write_segments = false;
+      truncate_growth = 6000;
+      mix_in_txn = [];
+      mix_outside = mix;
     }
   in
   let st =
     {
       cfg = config;
-      clock;
       cluster;
       plan;
-      ora;
       o = Oracle.create ~rng ~trace:config.trace;
-      clients = Array.init config.clients mk_client;
-      skips = 0;
+      r =
+        Oracle.remote w
+          ~committed:(Server.fs (Cluster.member_server cluster 0))
+          ~refusals:Errors.[ EBUSY; ESTALE; ENOENT ];
       crash_rr = 0;
       cut = None;
-      current = None;
-      in_flight = false;
-      verify_pending = false;
     }
   in
   Cluster.set_before_recovery cluster (fun mid ->
       trace st "== MEMBER %d CRASH after op %d (in_flight=%b)" mid st.o.ops_attempted
-        st.in_flight;
+        st.r.in_flight;
       (* recovery runs under a cleared schedule, as in Nettest *)
       Faultsim.clear_schedule st.plan);
-  Cluster.set_after_recovery cluster (fun _mid ->
-      if st.in_flight then st.verify_pending <- true
-      else verify st ~phase:"post-crash");
+  Cluster.set_after_recovery cluster (fun _mid -> Oracle.remote_crashed st.o st.r);
   for i = 0 to config.ops - 1 do
     (match st.cut with
     | Some (_, heal_at) when i >= heal_at -> heal st
@@ -524,59 +233,60 @@ let run ?(config = default_config) ~seed () =
       trace st "== boundary crash of member %d" mid;
       Cluster.crash_member cluster mid
     end
-    else run_one_op st
+    else begin
+      Cluster.pump cluster;
+      Oracle.remote_step st.o st.r
+    end
   done;
   (* Converge: heal, stop injecting, drain redistribution, crash every
      member once more (the recovery path is part of the contract), then
      the full differential check. *)
   heal st;
   Faultsim.clear_schedule st.plan;
-  settle st;
+  settle st clock;
   for mid = 0 to config.nshards do
     Cluster.crash_member cluster mid
   done;
   Faultsim.disarm st.plan;
-  settle st;
-  verify st ~phase:"final";
+  settle st clock;
+  Oracle.verify_remote st.o st.r ~phase:"final";
   let audit = Cluster.cross_shard_audit cluster in
   if not (Invfs.Fsck.is_shard_clean audit) then
     mismatch st "final %s" (Invfs.Fsck.shard_report_to_string audit);
   let stats = Cluster.stats cluster in
-  let member_crashes = ref 0 in
-  for mid = 0 to config.nshards do
-    member_crashes := !member_crashes + Server.crashes (Cluster.member_server cluster mid)
-  done;
-  let replays = ref 0 in
-  for mid = 0 to config.nshards do
-    replays := !replays + Server.replays (Cluster.member_server cluster mid)
-  done;
+  let sum_members f =
+    List.fold_left (fun a mid -> a + f (Cluster.member_server cluster mid)) 0
+      (List.init (config.nshards + 1) Fun.id)
+  in
+  let conns = Array.map (fun (ss : _ Oracle.sess) -> ss.h.Oracle.conn) w.sessions in
   let sum_clients f =
     Array.fold_left
-      (fun a cs -> List.fold_left (fun a c -> a + f c) a (Cluster.conn_clients cs.conn))
-      0 st.clients
+      (fun a c -> List.fold_left (fun a cl -> a + f cl) a (Cluster.conn_clients c))
+      0 conns
   in
+  let o = st.o in
   {
     seed;
-    ops_attempted = st.o.ops_attempted;
-    ops_applied = st.o.ops_applied;
-    skips = st.skips;
-    member_crashes = !member_crashes;
+    ops_attempted = o.ops_attempted;
+    ops_applied = o.ops_applied;
+    skips = o.lock_skips + o.io_faults;
+    member_crashes = sum_members Server.crashes;
     fence_events = stats.Cluster.fence_events;
     handoffs = stats.Cluster.handoffs_completed;
     migrations = stats.Cluster.migrations;
     drops_done = stats.Cluster.drops_done;
     stale_rejects = stats.Cluster.stale_rejects;
-    redirects = Array.fold_left (fun a cs -> a + Cluster.redirects cs.conn) 0 st.clients;
-    replays = !replays;
+    redirects = Array.fold_left (fun a c -> a + Cluster.redirects c) 0 conns;
+    replays = sum_members Server.replays;
     reconnects = sum_clients Client.reconnects;
     sessions_lost = sum_clients Client.sessions_lost;
-    indeterminate = st.o.indeterminate;
-    landed = st.o.landed;
+    indeterminate = o.indeterminate;
+    landed = o.landed;
     heartbeats = stats.Cluster.heartbeats_seen;
     net_faults = List.length (Faultsim.net_events st.plan);
     messages = Netsim.messages net;
-    full_verifies = st.o.full_verifies;
-    mismatches = Oracle.mismatches st.o;
+    full_verifies = o.full_verifies;
+    mismatches = Oracle.mismatches o;
   }
 
 (* ---------- bench entry points ----------
@@ -589,6 +299,25 @@ let run ?(config = default_config) ~seed () =
    the per-op cost stays constant, which is exactly the scale-out claim
    the smoke check pins (N=4 beating 2x the N=1 throughput). *)
 
+(* A fault-free fleet with one client and [nfiles] files /f0, /f1, ...
+   created through the coordinator, with their real oids. *)
+let fleet ?hb_interval ~seed ~nshards ~nbuckets nfiles =
+  let rng = Rng.create seed in
+  let clock = Clock.create () in
+  let net = Netsim.create ~clock Netsim.tcp_1993 in
+  let cluster =
+    Cluster.create ~clock ~net ~rng:(Rng.split rng) ~nshards ~nbuckets ?hb_interval ()
+  in
+  let conn = Cluster.connect cluster ~rng:(Rng.split rng) () in
+  let coord = Cluster.coord conn in
+  let oids =
+    Array.init nfiles (fun i ->
+        let path = Printf.sprintf "/f%d" i in
+        Client.c_close coord (Client.c_creat coord path);
+        (Client.c_stat coord path).Invfs.Fileatt.file)
+  in
+  (rng, clock, cluster, conn, oids)
+
 type scale_point = {
   sp_shards : int;
   sp_ops : int;
@@ -598,22 +327,8 @@ type scale_point = {
 }
 
 let scaleout ?(ops = 200) ~seed ~nshards () =
-  let rng = Rng.create seed in
-  let clock = Clock.create () in
-  let net = Netsim.create ~clock Netsim.tcp_1993 in
-  let cluster =
-    Cluster.create ~clock ~net ~rng:(Rng.split rng) ~nshards ~nbuckets:32 ()
-  in
-  let conn = Cluster.connect cluster ~rng:(Rng.split rng) () in
-  let coord = Cluster.coord conn in
   let nfiles = 4 * nshards in
-  let oids =
-    Array.init nfiles (fun i ->
-        let path = Printf.sprintf "/f%d" i in
-        let fd = Client.c_creat coord path in
-        Client.c_close coord fd;
-        (Client.c_stat coord path).Invfs.Fileatt.file)
-  in
+  let rng, clock, cluster, conn, oids = fleet ~seed ~nshards ~nbuckets:32 nfiles in
   let payload = Bytes.to_string (Rng.bytes rng 8192) in
   let busy0 =
     Array.init (nshards + 1) (fun mid -> Server.busy_s (Cluster.member_server cluster mid))
@@ -647,67 +362,30 @@ type blackout = {
 }
 
 let failover_blackout ?(hb_interval = 0.3) ~seed () =
-  let rng = Rng.create seed in
-  let clock = Clock.create () in
-  let net = Netsim.create ~clock Netsim.tcp_1993 in
-  let nshards = 3 in
-  let cluster =
-    Cluster.create ~clock ~net ~rng:(Rng.split rng) ~nshards ~nbuckets:16 ~hb_interval ()
-  in
-  let conn = Cluster.connect cluster ~rng:(Rng.split rng) () in
-  let coord = Cluster.coord conn in
-  let nfiles = 12 in
-  let oids =
-    Array.init nfiles (fun i ->
-        let path = Printf.sprintf "/f%d" i in
-        let fd = Client.c_creat coord path in
-        Client.c_close coord fd;
-        (Client.c_stat coord path).Invfs.Fileatt.file)
-  in
-  let payload oid k = Printf.sprintf "gen%d of oid %Ld: %s" k oid (String.make 512 'x') in
+  let _, clock, cluster, conn, oids = fleet ~hb_interval ~seed ~nshards:3 ~nbuckets:16 12 in
   let expected = Hashtbl.create 16 in
-  let write_all k =
-    Array.iter
-      (fun oid ->
-        let data = payload oid k in
-        ignore (Cluster.shard_write conn ~oid ~off:0L ~data : int);
-        ignore (Cluster.shard_truncate conn ~oid ~size:(Int64.of_int (String.length data)));
-        Hashtbl.replace expected oid data)
-      oids
+  (* generation [k] of a file, written whole; returns the stall *)
+  let write oid k =
+    let t0 = Clock.now clock in
+    let data = Printf.sprintf "gen%d of oid %Ld: %s" k oid (String.make 512 'x') in
+    ignore (Cluster.shard_write conn ~oid ~off:0L ~data : int);
+    ignore (Cluster.shard_truncate conn ~oid ~size:(Int64.of_int (String.length data)));
+    Hashtbl.replace expected oid data;
+    Clock.now clock -. t0
   in
-  write_all 0;
+  Array.iter (fun oid -> ignore (write oid 0 : float)) oids;
   (* cut one shard's heartbeat path and keep the workload going; the
      fence, failover and handoff happen underneath while every op's
      stall is measured *)
   Cluster.set_partitioned cluster ~shard:1 true;
-  let t_cut = Clock.now clock in
   let worst = ref 0. in
   for k = 1 to 6 do
-    Array.iter
-      (fun oid ->
-        let t0 = Clock.now clock in
-        let data = payload oid k in
-        ignore (Cluster.shard_write conn ~oid ~off:0L ~data : int);
-        ignore (Cluster.shard_truncate conn ~oid ~size:(Int64.of_int (String.length data)));
-        Hashtbl.replace expected oid data;
-        let d = Clock.now clock -. t0 in
-        if d > !worst then worst := d)
-      oids;
+    Array.iter (fun oid -> worst := Float.max !worst (write oid k)) oids;
     Clock.advance clock ~account:"shardtest.blackout" (hb_interval /. 2.);
     Cluster.pump cluster
   done;
-  ignore t_cut;
   Cluster.set_partitioned cluster ~shard:1 false;
-  let rec drain k =
-    Cluster.pump cluster;
-    let s = Cluster.stats cluster in
-    if (s.Cluster.handoffs_pending > 0 || s.Cluster.drops_pending > 0) && k < 200
-    then begin
-      Clock.advance clock ~account:"shardtest.blackout" (hb_interval /. 2.);
-      drain (k + 1)
-    end
-  in
-  drain 0;
+  drain clock cluster;
   let consistent =
     Array.for_all
       (fun oid ->

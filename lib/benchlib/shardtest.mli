@@ -1,14 +1,16 @@
 (** Differential harness for the sharded fleet ({!Remote.Cluster}).
 
-    A client fleet drives a randomized workload — metadata through the
-    coordinator, chunk data routed to owning shards by cached placement
-    — against an oid-keyed in-memory oracle, while a seeded fault plan
-    injects message faults on every link (client, heartbeat and admin),
-    mid-request crashes of any chosen member, boundary crashes rotating
-    over the whole fleet, and heartbeat partitions long enough to drive
-    real failovers (fence, handoff, redirect).  After every recovery and
-    once more after convergence, the coordinator namespace and every
-    file's authoritative shard copy are compared against the oracle. *)
+    A client fleet drives the shared {!Oracle} workload through
+    {!Oracle.cluster_driver} — metadata through the coordinator, chunk
+    data routed to owning shards by cached placement — while a seeded
+    fault plan injects message faults on every link (client, heartbeat
+    and admin), mid-request crashes of any chosen member, boundary
+    crashes rotating over the whole fleet, and heartbeat partitions long
+    enough to drive real failovers (fence, handoff, redirect).  The
+    model is {!Oracle}'s: the coordinator holds the namespace, and
+    {!Oracle.cluster_reader} reads each file's authoritative shard copy.
+    After every recovery and once more after convergence, the namespace
+    and every file's bytes are compared against it. *)
 
 type config = {
   ops : int;

@@ -81,9 +81,6 @@ let translate_locks f =
     Errors.fail Errors.EAGAIN "lock conflict on %s (held by xid %s)" resource
       (String.concat ", " (List.map Relstore.Xid.to_string holders))
   | Relstore.Lock_mgr.Deadlock xid -> Errors.fail Errors.EDEADLK "deadlock, victim xid %d" xid
-  | Relstore.Lock_mgr.Lock_timeout { attempts; waited_s; blocked_on } ->
-    Errors.fail Errors.ETIMEDOUT "lock wait timed out after %d attempts (%.3fs): %s"
-      attempts waited_s blocked_on
   | Pagestore.Device.Media_failure { device; segid; blkno; reason } ->
     (* Permanent media fault that retry and mirror failover could not
        absorb: the operation fails with EIO, the file system stays up. *)
@@ -94,12 +91,6 @@ let translate_locks f =
       (List.length xids)
       (String.concat ", " (List.map Relstore.Xid.to_string xids))
   | Relstore.Heap.Append_only msg -> Errors.fail Errors.EROFS "%s" msg
-
-(* Classifier for Lock_mgr.retry_backoff at this layer: after
-   [translate_locks], a lock wait is an EAGAIN. *)
-let lock_blocked = function
-  | Errors.Fs_error (Errors.EAGAIN, msg) -> Some msg
-  | _ -> None
 
 let flush_pending_atts s txn =
   Hashtbl.iter (fun _ att -> Fileatt.set s.owner_fs.fileatt txn att) s.pending_att;

@@ -83,12 +83,6 @@ val in_transaction : session -> bool
 val with_transaction : session -> (unit -> 'a) -> 'a
 (** [p_begin], run, [p_commit]; [p_abort] if the function raises. *)
 
-val lock_blocked : exn -> string option
-(** Classifier for {!Relstore.Lock_mgr.retry_backoff} above the
-    file-system API: [Fs_error (EAGAIN, _)] is a retryable lock wait
-    (the message names the holders); anything else is not.  Exhausted
-    retries surface as [Fs_error (ETIMEDOUT, _)]. *)
-
 (* {2 The file interface} *)
 
 val p_creat :

@@ -30,10 +30,6 @@ exception Would_block of { xid : Xid.t; resource : string; holders : Xid.t list 
 exception Deadlock of Xid.t
 (** Granting the wait would close a cycle; the named xid should abort. *)
 
-exception Lock_timeout of { attempts : int; waited_s : float; blocked_on : string }
-(** {!retry_backoff} exhausted its attempts; [blocked_on] names the
-    resource and the holders of the last conflicting grant. *)
-
 type t
 
 val create : unit -> t
@@ -89,32 +85,3 @@ val release_generation : t -> int
 val reset : t -> unit
 (** Drop every lock and wait-for edge.  Locks are volatile state: crash
     recovery calls this. *)
-
-val blocked : exn -> string option
-(** Classifier for {!retry_backoff}: {!Would_block} is retryable (the
-    description names the resource and holders); everything else —
-    {!Deadlock} included, a victim must abort, not wait — is not. *)
-
-val retry_backoff :
-  ?clock:Simclock.Clock.t ->
-  ?rng:Simclock.Rng.t ->
-  ?attempts:int ->
-  ?base_s:float ->
-  ?max_s:float ->
-  ?on_wait:(attempt:int -> blocked_on:string -> unit) ->
-  blocked:(exn -> string option) ->
-  (unit -> 'a) ->
-  'a
-(** Bounded retry with exponential backoff for lock waits, so callers
-    stop open-coding catch-and-retry loops.  Runs [f]; when it raises an
-    exception that [blocked] classifies as a lock wait, charges
-    [min max_s (base_s * 2^(attempt-1))] — jittered by [rng] to
-    0.5–1.5×, charged to the [clock] under ["lock.backoff"] — calls
-    [on_wait], and retries, at most [attempts] (default 4) tries in
-    total.  Exhaustion raises {!Lock_timeout} naming the blockage.
-
-    The engine is a single-threaded simulation, so waiting alone never
-    unblocks anything: [on_wait] is where the caller makes progress
-    (a server pumps other clients' messages and expires dead sessions'
-    leases; a test commits the holder).  Other exceptions propagate
-    unchanged. *)

@@ -333,15 +333,20 @@ let vacuous_after_loss ~was_txn = function
   | Wire.Close _ -> not was_txn
   | _ -> false
 
+(* What the caller is told when its session is gone for good: an open
+   transaction aborted with it; a mutation or Commit may or may not have
+   run (indeterminate); anything else plainly failed. *)
+let lost ~was_txn req =
+  let name = Wire.req_name req in
+  if was_txn && req <> Wire.Commit then
+    conn_reset (Printf.sprintf "session lost during %s; transaction aborted" name)
+  else if mutating req || req = Wire.Commit then
+    conn_reset (Printf.sprintf "session lost; %s outcome indeterminate" name)
+  else conn_reset (Printf.sprintf "session lost during %s" name)
+
 let give_up t ~was_txn req =
   session_dead t;
-  if vacuous_after_loss ~was_txn req then Wire.R_unit
-  else if was_txn && req <> Wire.Commit then
-    conn_reset (Printf.sprintf "session lost during %s; transaction aborted" (Wire.req_name req))
-  else if mutating req || req = Wire.Commit then
-    conn_reset
-      (Printf.sprintf "session lost; %s outcome indeterminate" (Wire.req_name req))
-  else conn_reset (Printf.sprintf "session lost during %s" (Wire.req_name req))
+  if vacuous_after_loss ~was_txn req then Wire.R_unit else lost ~was_txn req
 
 (* Requests that are always worth sending, deadline or not: they release
    server resources or end the conversation. *)
@@ -461,14 +466,10 @@ and finish t ~was_txn ~began ~reissued ~pipelined req reply =
       t.held_begin <- true;
       rpc ~pipelined ~reissued:true t req
     end
-    else if was_txn && req <> Wire.Commit then
-      conn_reset
-        (Printf.sprintf "session lost during %s; transaction aborted" (Wire.req_name req))
-    else if mutating req || req = Wire.Commit then
-      conn_reset
-        (Printf.sprintf "session lost; %s outcome indeterminate" (Wire.req_name req))
-    else if reissuable req && not reissued then rpc ~pipelined ~reissued:true t req
-    else conn_reset (Printf.sprintf "session lost during %s" (Wire.req_name req))
+    (* outside a transaction a reissuable request (never a mutation or
+       a Commit) is re-sent once on the fresh session *)
+    else if reissuable req && not (reissued || was_txn) then rpc ~pipelined ~reissued:true t req
+    else lost ~was_txn req
 
 (* ---------------- construction ---------------- *)
 

@@ -565,6 +565,40 @@ let deadline_of_us us = if us = 0L then infinity else Int64.to_float us /. 1e6
    only makes the overload worse. *)
 let relief = function Wire.Abort | Wire.Bye -> true | _ -> false
 
+(* The caller has given up: refuse [req] before doing any of it, if its
+   deadline passed before [stage].  Recorded: the rejection is
+   definitive, so a racing retry deduplicates onto it instead of
+   executing.  [true] when rejected. *)
+let deadline_rejected t (s : sess) ~rid ~req ~deadline ~stage =
+  let now = now_s t in
+  let expired = now > deadline && not (relief req) in
+  if expired then begin
+    t.deadline_rejects <- t.deadline_rejects + 1;
+    Obs.Metrics.incr m_deadline_rejects;
+    record_and_send t s ~rid
+      (Wire.Err_reply
+         {
+           txn_open = Fs.in_transaction s.fsess;
+           code = Errors.ETIMEDOUT;
+           msg = Printf.sprintf "deadline expired %.3fs before %s" (now -. deadline) stage;
+         })
+  end;
+  expired
+
+(* The dedup window's verdict on a request id the session has seen
+   before: replay the recorded reply of one that already executed (never
+   execute it twice), and drop a stale duplicate from before the window —
+   the client has long since moved on.  [true] when the request is
+   answered or dropped. *)
+let seen_before t (s : sess) link rid =
+  match List.assoc_opt rid s.window with
+  | Some frames ->
+    t.replays <- t.replays + 1;
+    Obs.Metrics.incr m_replays;
+    send_frames link frames;
+    true
+  | None -> rid <= s.max_rid
+
 (* ---------------- execution ---------------- *)
 
 (* Run one admitted task to an answer — or park it.  Returns [true] when
@@ -577,24 +611,12 @@ let run_task t (tk : task) ~(was_parked : bool) =
     reply_now tk.tk_link ~sid:tk.tk_sid ~rid:tk.tk_rid Wire.Unknown_session;
     true
   | Some s ->
-    let now = now_s t in
-    if now > tk.tk_deadline && not (relief tk.tk_req) then begin
-      (* the caller has given up: abort the work before doing any of it.
-         Definitive (recorded): this request id will never execute. *)
-      t.deadline_rejects <- t.deadline_rejects + 1;
-      Obs.Metrics.incr m_deadline_rejects;
-      record_and_send t s ~rid:tk.tk_rid
-        (Wire.Err_reply
-           {
-             txn_open = Fs.in_transaction s.fsess;
-             code = Errors.ETIMEDOUT;
-             msg =
-               Printf.sprintf "deadline expired %.3fs before execution"
-                 (now -. tk.tk_deadline);
-           });
-      true
-    end
+    if
+      deadline_rejected t s ~rid:tk.tk_rid ~req:tk.tk_req ~deadline:tk.tk_deadline
+        ~stage:"execution"
+    then true
     else begin
+      let now = now_s t in
       let t0 = now in
       (* A carried Begin runs with the request it rides on, once: a
          parked re-execution finds it already run. *)
@@ -868,41 +890,16 @@ let handle ?(begin_txn = false) ?(closes = []) t link ~(h : Wire.hdr) req =
     | None -> reply_now link ~sid ~rid Wire.Unknown_session
     | Some s ->
       s.last_active <- Simclock.Clock.now t.clock;
-      (match List.assoc_opt rid s.window with
-      | Some frames ->
-        (* the dedup window: this request already executed; replay the
-           recorded reply instead of executing it twice *)
-        t.replays <- t.replays + 1;
-        Obs.Metrics.incr m_replays;
-        send_frames link frames
-      | None when rid <= s.max_rid ->
-        (* a stale duplicate from before the window: the client has long
-           since moved on and will discard any answer; drop it *)
-        ()
-      | None when Hashtbl.mem s.inflight rid ->
+      if seen_before t s link rid then ()
+      else if Hashtbl.mem s.inflight rid then
         (* a retransmission of a request still queued or parked: the
            original will answer; admitting it twice would execute twice *)
         ()
-      | None ->
+      else begin
         run_carried_closes t s closes;
         let now = Simclock.Clock.now t.clock in
         let deadline = deadline_of_us h.deadline_us in
-        if now > deadline && not (relief req) then begin
-          (* never admit work whose caller has already given up.
-             Recorded: the rejection is definitive, so a racing retry
-             deduplicates onto it instead of executing. *)
-          t.deadline_rejects <- t.deadline_rejects + 1;
-          Obs.Metrics.incr m_deadline_rejects;
-          record_and_send t s ~rid
-            (Wire.Err_reply
-               {
-                 txn_open = Fs.in_transaction s.fsess;
-                 code = Errors.ETIMEDOUT;
-                 msg =
-                   Printf.sprintf "deadline expired %.3fs before admission"
-                     (now -. deadline);
-               })
-        end
+        if deadline_rejected t s ~rid ~req ~deadline ~stage:"admission" then ()
         else if
           (not (relief req))
           && (queue_depth t >= t.run_cap
@@ -936,7 +933,8 @@ let handle ?(begin_txn = false) ?(closes = []) t link ~(h : Wire.hdr) req =
               tk_blocked_on = "";
             }
             t.run_q
-        end))
+        end
+      end)
 
 let process t link frame =
   match Wire.decode_header frame with
@@ -956,17 +954,12 @@ let process t link frame =
            a retransmission replays the recorded answer instead of being
            judged (and counted) twice. *)
         match Hashtbl.find_opt t.sessions h.sid with
-        | Some s -> (
-          match List.assoc_opt h.rid s.window with
-          | Some frames ->
-            t.replays <- t.replays + 1;
-            Obs.Metrics.incr m_replays;
-            send_frames link frames
-          | None when h.rid <= s.max_rid -> ()
-          | None ->
+        | Some s ->
+          if not (seen_before t s link h.rid) then begin
             t.unsupported <- t.unsupported + 1;
             Obs.Metrics.incr m_unsupported;
-            record_and_send t s ~rid:h.rid (Wire.Unsupported { opcode }))
+            record_and_send t s ~rid:h.rid (Wire.Unsupported { opcode })
+          end
         | None ->
           t.unsupported <- t.unsupported + 1;
           Obs.Metrics.incr m_unsupported;

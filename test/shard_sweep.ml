@@ -7,7 +7,8 @@
    failovers.  SHARD_SEEDS=5,6,7 appends extra comma-separated seeds,
    SHARD_OPS=N lengthens each run, and `--quick` (wired into the default
    `dune runtest`) trims to a fast subset.  `--trace SEED` replays one
-   seed with the per-op repro log on stderr. *)
+   seed with the per-op repro log on stderr.  The run ends with the
+   fence and handoff totals and fails if either is 0. *)
 
 let base_seeds = List.init 40 (fun i -> Int64.of_int (i + 1))
 let quick_seeds = [ 1L; 2L; 3L; 4L; 5L ]
@@ -53,9 +54,12 @@ let () =
     | None -> (if quick then quick_seeds else base_seeds) @ env_seeds ()
   in
   let failed = ref 0 in
+  let fences = ref 0 and handoffs = ref 0 in
   List.iter
     (fun seed ->
       let o = Benchlib.Shardtest.run ~config ~seed () in
+      fences := !fences + o.Benchlib.Shardtest.fence_events;
+      handoffs := !handoffs + o.Benchlib.Shardtest.handoffs;
       Printf.printf "%s\n%!" (Benchlib.Shardtest.outcome_to_string o);
       List.iter
         (fun m ->
@@ -63,6 +67,18 @@ let () =
           Printf.printf "  MISMATCH: %s\n%!" m)
         o.Benchlib.Shardtest.mismatches)
     seeds;
+  Printf.printf "fences: %d\n%!" !fences;
+  Printf.printf "handoffs: %d\n%!" !handoffs;
+  (* The schedules must reach failover (a fence, then handoffs), or the
+     sweep says nothing about it. *)
+  if !fences = 0 then begin
+    Printf.eprintf "shard_sweep: no failover was fenced\n";
+    exit 1
+  end;
+  if !handoffs = 0 then begin
+    Printf.eprintf "shard_sweep: no handoff completed\n";
+    exit 1
+  end;
   if !failed > 0 then begin
     Printf.eprintf
       "shard_sweep: %d mismatches (repro: shard_sweep.exe --trace SEED)\n" !failed;

@@ -209,6 +209,7 @@ let agreed () =
 let local_workload sessions =
   {
     O.driver = O.local_driver;
+    read = Fs.read_whole_file;
     sessions;
     max_file_bytes = 32 * 1024;
     max_dirs = 8;
@@ -224,7 +225,7 @@ let probe_case ~updates ~apply () =
   List.iter
     (fun applied ->
       let fs, s, o, oid = agreed () in
-      let probe = O.probe_of_updates o (updates o oid) in
+      let probe = O.probe_of_updates o ~read:Fs.read_whole_file (updates o oid) in
       if applied then apply s;
       Alcotest.(check bool)
         (Printf.sprintf "%s, op %s" probe.O.describe (if applied then "applied" else "not applied"))
@@ -282,15 +283,59 @@ let test_probe_txn () =
       List.iter
         (fun op -> O.record o ss (op o w ss))
         [ O.op_create; O.op_write; O.op_rename; O.op_write; O.op_truncate ];
-      let probe = O.probe_of_updates o (O.overlay_updates ss) in
+      let probe = O.probe_of_updates o ~read:Fs.read_whole_file (O.overlay_updates ss) in
       ignore ((if commit then O.op_commit else O.op_abort) o w ss : O.updates);
       Alcotest.(check bool)
         (Printf.sprintf "%s, transaction %s" probe.O.describe
            (if commit then "committed" else "aborted"))
         commit (O.landed fs probe);
-      O.verify_full_state o (Fs.new_session fs) ~phase:"after";
+      O.verify_full_state o ~read:Fs.read_whole_file (Fs.new_session fs) ~phase:"after";
       Alcotest.(check (list string)) "model follows" [] (O.mismatches o))
     [ true; false ]
+
+(* A fault-free fleet and a model that agree: /a holds "hello". *)
+let agreed_fleet () =
+  let clock = Simclock.Clock.create () and rng = Simclock.Rng.create 3L in
+  let net = Netsim.create ~clock Netsim.tcp_1993 in
+  let cluster = Remote.Cluster.create ~clock ~net ~rng:(Simclock.Rng.split rng) () in
+  let h = { O.conn = Remote.Cluster.connect cluster ~rng (); pos = 0 } in
+  let cd = O.cluster_driver in
+  cd.creat h "/a";
+  let fd = cd.open_rw h "/a" in
+  cd.write h fd (b "hello");
+  cd.close h fd;
+  let o = O.create ~rng:(Simclock.Rng.create 1L) ~trace:false in
+  let oid = O.fresh_oid o in
+  O.commit_updates o
+    { O.no_updates with u_names = [ ("/a", Some oid) ]; u_files = [ (oid, b "hello") ] };
+  (cluster, h, o, oid)
+
+let coord_fs cluster = Remote.Server.fs (Remote.Cluster.member_server cluster 0)
+
+(* The fleet's data probe reads the authoritative shard copy of the
+   file the coordinator names. *)
+let cluster_probe_case ~after ~apply () =
+  List.iter
+    (fun applied ->
+      let cluster, h, o, oid = agreed_fleet () in
+      let probe =
+        O.probe_of_updates o ~read:(O.cluster_reader cluster)
+          { O.no_updates with u_files = [ (oid, b after) ] }
+      in
+      if applied then apply O.cluster_driver h (O.cluster_driver.open_rw h "/a");
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, op %s" probe.O.describe (if applied then "applied" else "not applied"))
+        applied
+        (O.landed (coord_fs cluster) probe))
+    [ true; false ]
+
+let test_probe_cluster_write =
+  cluster_probe_case ~after:"hello, world" ~apply:(fun cd h fd ->
+      cd.O.seek h fd 5;
+      cd.write h fd (b ", world"))
+
+let test_probe_cluster_truncate =
+  cluster_probe_case ~after:"he" ~apply:(fun cd h fd -> cd.O.ftruncate h fd 2)
 
 (* Guard against a vacuous oracle: change the real file system behind the
    model's back through a driver, and both verifies must notice. *)
@@ -300,7 +345,7 @@ let behind_the_back (type h) (drv : h O.driver) (h : h) fs o =
   in
   O.take_snapshot o ~depth:4 (Relstore.Db.now (Fs.db fs));
   Simclock.Clock.advance (Fs.clock fs) 1e-6;
-  O.verify_full_state o (Fs.new_session fs) ~phase:"agreed";
+  O.verify_full_state o ~read:Fs.read_whole_file (Fs.new_session fs) ~phase:"agreed";
   O.check_time_travel o (Fs.new_session fs);
   Alcotest.(check (list string)) "agreement holds" [] (O.mismatches o);
   let fd = drv.open_rw h "/a" in
@@ -310,7 +355,7 @@ let behind_the_back (type h) (drv : h O.driver) (h : h) fs o =
   drv.creat h "/zz";
   O.take_snapshot o ~depth:4 (Relstore.Db.now (Fs.db fs));
   Simclock.Clock.advance (Fs.clock fs) 1e-6;
-  O.verify_full_state o (Fs.new_session fs) ~phase:"diverged";
+  O.verify_full_state o ~read:Fs.read_whole_file (Fs.new_session fs) ~phase:"diverged";
   check_count "full verify reports the divergence" 0;
   let n = List.length (O.mismatches o) in
   O.check_time_travel o (Fs.new_session fs);
@@ -341,6 +386,32 @@ let test_vacuity_client () =
     Remote.Client.connect ~server ~link:(Netsim.Link.create net) ~rng:(Simclock.Rng.create 2L) ()
   in
   behind_the_back O.client_driver c fs o
+
+(* The fleet's verify reads the shard copies: a shard write and a
+   coordinator create behind the model's back must each be reported. *)
+let test_vacuity_cluster () =
+  List.iter
+    (fun (what, diverge) ->
+      let cluster, h, o, _ = agreed_fleet () in
+      let verify phase =
+        O.verify_full_state o ~read:(O.cluster_reader cluster)
+          (Fs.new_session (coord_fs cluster)) ~phase
+      in
+      verify "agreed";
+      Alcotest.(check (list string)) "agreement holds" [] (O.mismatches o);
+      diverge h;
+      verify "diverged";
+      Alcotest.(check bool) (what ^ " is reported") true (O.mismatches o <> []))
+    [
+      ( "shard write",
+        fun h ->
+          let oid = Int64.of_int (O.cluster_driver.open_rw h "/a") in
+          ignore (Remote.Cluster.shard_write h.O.conn ~oid ~off:0L ~data:"HELLO" : int) );
+      ( "coordinator create",
+        fun h ->
+          let c = Remote.Cluster.coord h.O.conn in
+          Remote.Client.c_close c (Remote.Client.c_creat c "/zz") );
+    ]
 
 let () =
   Alcotest.run "benchlib"
@@ -387,11 +458,14 @@ let () =
           Alcotest.test_case "unlink" `Quick test_probe_unlink;
           Alcotest.test_case "rename" `Quick test_probe_rename;
           Alcotest.test_case "transaction overlay" `Quick test_probe_txn;
+          Alcotest.test_case "cluster write" `Quick test_probe_cluster_write;
+          Alcotest.test_case "cluster truncate" `Quick test_probe_cluster_truncate;
         ] );
       ( "oracle vacuity",
         [
           Alcotest.test_case "local driver" `Quick test_vacuity_local;
           Alcotest.test_case "client driver" `Quick test_vacuity_client;
           Alcotest.test_case "past listing" `Quick test_vacuity_listing;
+          Alcotest.test_case "cluster driver" `Quick test_vacuity_cluster;
         ] );
     ]

@@ -339,65 +339,6 @@ let test_wait_queue_probe () =
   L.reset lm;
   Alcotest.(check int) "reset clears the queue" 0 (read_probe ())
 
-let test_retry_backoff_succeeds_after_release () =
-  let lm = L.create () in
-  let clock = Simclock.Clock.create () in
-  L.acquire lm 1 ~resource:"r" L.Exclusive;
-  let tries = ref 0 in
-  let t0 = Simclock.Clock.now clock in
-  let () =
-    L.retry_backoff ~clock ~attempts:5 ~base_s:0.01 ~max_s:0.1
-      ~on_wait:(fun ~attempt ~blocked_on ->
-        Alcotest.(check bool) "description names the holder" true
-          (String.length blocked_on > 0);
-        (* progress happens in on_wait: the holder commits on attempt 2 *)
-        if attempt = 2 then L.release_all lm 1)
-      ~blocked:L.blocked
-      (fun () ->
-        incr tries;
-        L.acquire lm 2 ~resource:"r" L.Exclusive)
-  in
-  Alcotest.(check int) "third try won" 3 !tries;
-  Alcotest.(check bool) "backoff charged the clock" true
-    (Simclock.Clock.now clock -. t0 > 0.);
-  Alcotest.(check (list xid)) "2 waits for nobody" [] (L.waiting lm 2)
-
-let test_retry_backoff_times_out () =
-  let lm = L.create () in
-  let clock = Simclock.Clock.create () in
-  L.acquire lm 1 ~resource:"r" L.Exclusive;
-  let tries = ref 0 in
-  (match
-     L.retry_backoff ~clock ~attempts:3 ~base_s:0.01 ~max_s:0.02 ~blocked:L.blocked
-       (fun () ->
-         incr tries;
-         L.acquire lm 2 ~resource:"r" L.Exclusive)
-   with
-  | () -> Alcotest.fail "expected Lock_timeout"
-  | exception L.Lock_timeout { attempts; waited_s; blocked_on } ->
-    Alcotest.(check int) "attempts" 3 attempts;
-    Alcotest.(check bool) "waited" true (waited_s > 0.);
-    Alcotest.(check bool) "names the holder" true
-      (String.length blocked_on > 0));
-  Alcotest.(check int) "tried exactly attempts times" 3 !tries
-
-let test_retry_backoff_leaves_deadlock_alone () =
-  let lm = L.create () in
-  L.acquire lm 1 ~resource:"a" L.Exclusive;
-  L.acquire lm 2 ~resource:"b" L.Exclusive;
-  (match L.acquire lm 1 ~resource:"b" L.Exclusive with
-  | () -> Alcotest.fail "expected Would_block"
-  | exception L.Would_block _ -> ());
-  let tries = ref 0 in
-  (* a deadlock victim must abort, not wait: the classifier refuses it *)
-  match
-    L.retry_backoff ~attempts:5 ~blocked:L.blocked (fun () ->
-        incr tries;
-        L.acquire lm 2 ~resource:"a" L.Exclusive)
-  with
-  | () -> Alcotest.fail "expected Deadlock"
-  | exception L.Deadlock _ -> Alcotest.(check int) "no retries" 1 !tries
-
 let () =
   Alcotest.run "lock_mgr"
     [
@@ -428,13 +369,5 @@ let () =
           Alcotest.test_case "dead writer cannot bar readers" `Quick
             test_dead_writer_cannot_bar_readers;
           Alcotest.test_case "wait-queue probe" `Quick test_wait_queue_probe;
-        ] );
-      ( "backoff",
-        [
-          Alcotest.test_case "succeeds after release" `Quick
-            test_retry_backoff_succeeds_after_release;
-          Alcotest.test_case "times out" `Quick test_retry_backoff_times_out;
-          Alcotest.test_case "deadlock not retried" `Quick
-            test_retry_backoff_leaves_deadlock_alone;
         ] );
     ]
