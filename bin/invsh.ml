@@ -102,7 +102,7 @@ let help () =
     \  asof NAME ls|cat|stat ARG   run a read-only command in the past\n\
     \  undelete NAME PATH       restore PATH as it was at mark NAME\n\
     \  migrate PATH DEVICE      move a file's storage (disk0|nvram0|jukebox)\n\
-    \  vacuum PATH archive|discard   vacuum one file's table (stop-the-world)\n\
+    \  vacuum PATH archive|discard   vacuum one file's table\n\
     \  vacuumstep [PAGES]       one budgeted increment of the concurrent vacuum\n\
     \  crash                    crash the machine (instant recovery)\n\
     \  sync                     force the pending commit group (see --group-commit)\n\
@@ -273,8 +273,8 @@ let run_command shell line =
       | m -> failwith ("vacuum mode must be archive or discard, not " ^ m)
     in
     let stats = Fs.vacuum_file shell.fs ~oid:(Fs.lookup_oid s path) ~mode () in
-    say "scanned %d, archived %d, discarded %d" stats.Relstore.Vacuum.scanned
-      stats.Relstore.Vacuum.archived stats.Relstore.Vacuum.discarded
+    say "scanned %d, archived %d, discarded %d" stats.Relstore.Vacuum.s_scanned
+      stats.Relstore.Vacuum.s_archived stats.Relstore.Vacuum.s_discarded
   | [ "vacuumstep" ] | [ "vacuumstep"; _ ] as cmd ->
     let pages =
       match cmd with

@@ -95,8 +95,8 @@ let () =
   say "== Old versions survive even vacuuming, via the archive ==";
   let oid = Fs.lookup_oid s "/project/src/parser.c" in
   let stats = Fs.vacuum_file fs ~oid ~mode:`Archive () in
-  say "vacuumed parser.c: %d versions archived, %d discarded" stats.Relstore.Vacuum.archived
-    stats.Relstore.Vacuum.discarded;
+  say "vacuumed parser.c: %d versions archived, %d discarded" stats.Relstore.Vacuum.s_archived
+    stats.Relstore.Vacuum.s_discarded;
   let r1 = List.find (fun r -> r.tag = "r1") revisions in
   say "r1 parser.c read from the archive: %S"
     (str (Fs.read_whole_file s ~timestamp:r1.when_ "/project/src/parser.c"));

@@ -142,9 +142,14 @@ let run ?(images = 60) ?(image_kb = 128) ?(seed = 42L) () =
 
   (* 7. housekeeping: vacuum + audit *)
   phase "vacuum + audit" (fun () ->
-      let stats = Fs.vacuum_all fs ~mode:`Archive () in
+      let archived =
+        List.fold_left
+          (fun n (_, st) -> n + st.Relstore.Vacuum.s_archived)
+          0
+          (Fs.vacuum_all fs ~mode:`Archive ())
+      in
       let audit = Invfs.Fsck.audit fs in
-      Printf.sprintf "archived %d versions; audit %s" stats.Relstore.Vacuum.archived
+      Printf.sprintf "archived %d versions; audit %s" archived
         (if Invfs.Fsck.is_clean audit then "clean" else "PROBLEMS"));
 
   {

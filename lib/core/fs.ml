@@ -86,10 +86,6 @@ let translate_locks f =
        absorb: the operation fails with EIO, the file system stays up. *)
     Errors.fail Errors.EIO "media failure on %s (segment %d, block %d): %s" device segid
       blkno reason
-  | Relstore.Vacuum.Busy xids ->
-    Errors.fail Errors.EBUSY "vacuum needs quiescence: %d transaction(s) active (xid %s)"
-      (List.length xids)
-      (String.concat ", " (List.map Relstore.Xid.to_string xids))
   | Relstore.Heap.Append_only msg -> Errors.fail Errors.EROFS "%s" msg
 
 let flush_pending_atts s txn =
@@ -633,10 +629,12 @@ let with_transaction s f =
     if in_transaction s then p_abort s;
     raise e
 
+(* Bytes a read of [len] at [pos] returns from a [size]-byte file. *)
+let readable ~size ~pos len =
+  Int64.to_int (min (Int64.of_int len) (max 0L (Int64.sub size pos)))
+
 let read_at t snap inv ~oid ~size ~pos buf len =
-  let avail = Int64.sub size pos in
-  let n = min (Int64.of_int len) (max 0L avail) in
-  let n = Int64.to_int n in
+  let n = readable ~size ~pos len in
   if n > 0 then begin
     Bytes.fill buf 0 n '\000';
     let cap = Int64.of_int chunk_capacity in
@@ -745,17 +743,21 @@ let maybe_touch_atime s txn of_ =
     | Some att -> stage_att s txn { att with Fileatt.atime = now_ts t }
     | None -> ()
 
-let p_read s fd buf len =
+(* The body of [p_read].  [into n] supplies the buffer once the count
+   [n] of readable bytes is known, so a caller may size it exactly. *)
+let read_fd s fd len ~into =
   let t = s.owner_fs in
   let of_ = find_fd s fd in
-  if len < 0 || len > Bytes.length buf then Errors.fail Errors.EINVAL "bad length %d" len;
   let inv = require_inv of_ in
-  let n =
+  let read snap size =
+    let buf = into (readable ~size ~pos:of_.pos len) in
+    (buf, read_at t snap inv ~oid:of_.oid ~size ~pos:of_.pos buf len)
+  in
+  let ((_, n) as result) =
     match of_.hist with
     | Some ts ->
       let snap = Snapshot.As_of ts in
-      let att = att_of t snap of_.oid in
-      read_at t snap inv ~oid:of_.oid ~size:att.Fileatt.size ~pos:of_.pos buf len
+      read snap (att_of t snap of_.oid).Fileatt.size
     | None ->
       with_op s (fun txn ->
           flush_file s txn ~oid:of_.oid;
@@ -770,15 +772,21 @@ let p_read s fd buf len =
             | Some a -> a
             | None -> Errors.fail Errors.ENOENT "file oid %Ld vanished" of_.oid
           in
-          let n =
-            read_at t (Txn.snapshot txn) inv ~oid:of_.oid ~size:att.Fileatt.size
-              ~pos:of_.pos buf len
-          in
+          let result = read (Txn.snapshot txn) att.Fileatt.size in
           maybe_touch_atime s txn of_;
-          n)
+          result)
   in
   of_.pos <- Int64.add of_.pos (Int64.of_int n);
-  n
+  result
+
+let p_read s fd buf len =
+  if len < 0 || len > Bytes.length buf then Errors.fail Errors.EINVAL "bad length %d" len;
+  snd (read_fd s fd len ~into:(fun _ -> buf))
+
+let p_read_string s fd len =
+  if len < 0 then Errors.fail Errors.EINVAL "bad length %d" len;
+  (* the buffer is fresh and escapes nowhere else *)
+  Bytes.unsafe_to_string (fst (read_fd s fd len ~into:Bytes.create))
 
 let p_write s fd buf len =
   let of_ = find_fd s fd in
@@ -1205,14 +1213,6 @@ let crash_and_recover t =
     intents_replayed = t.last_intents_replayed;
   }
 
-let vacuum_file t ~oid ?horizon ~mode () =
-  match file_handle t ~oid with
-  | None -> Errors.fail Errors.ENOENT "no file with oid %Ld" oid
-  | Some inv ->
-    translate_locks (fun () ->
-        Db.vacuum t.db ~relation:(Inv_file.relname oid) ?horizon ~mode
-          ~on_remove:(Inv_file.index_maintenance_on_vacuum inv) ())
-
 (* ---------- snapshots and clones ---------- *)
 
 (* An O(1) snapshot: settle everything pending, advance the clock a tick
@@ -1286,17 +1286,6 @@ let clone s ~src ~dst =
 
 (* ---------- incremental vacuum ---------- *)
 
-let is_file_table name =
-  String.length name > 3
-  && String.sub name 0 3 = "inv"
-  && (not (String.length name > 5 && String.sub name (String.length name - 5) 5 = "_arch"))
-  &&
-  match Int64.of_string_opt (String.sub name 3 (String.length name - 3)) with
-  | Some _ -> true
-  | None -> false
-
-let oid_of_file_table name = Int64.of_string (String.sub name 3 (String.length name - 3))
-
 (* Make sure an inv<oid> relation has a storage handle, recovering the
    index segment of an unlinked file from any historical attribute
    version (vacuum still owes its history maintenance). *)
@@ -1314,33 +1303,60 @@ let ensure_handle t oid =
       true
     | Some _ | None -> false)
 
-(* One budgeted increment of the concurrent vacuum, round-robin over
-   every vacuumable relation: each call steps ONE relation's window; the
-   cursor stays on a relation until its pass wraps (or it skipped for a
-   writer), then moves on.  Returns the relation stepped and its stats,
-   or [None] when there is nothing to vacuum. *)
-let vacuum_step t ?pages ~mode () =
-  let targets =
-    List.filter_map
-      (fun rel ->
-        if is_file_table rel then begin
-          let oid = oid_of_file_table rel in
-          if ensure_handle t oid then
-            let inv = Hashtbl.find t.files oid in
-            Some (rel, Some (Inv_file.index_maintenance_on_vacuum inv))
-          else None
-        end
-        else if String.equal rel "naming" then
+(* Every relation the vacuum cleans, in catalog order, with the index
+   maintenance its removals need: every inv<oid> table (named or
+   unlinked, whose storage only the vacuum finally reclaims or
+   archives), the catalogs and the clone map.  Archive relations are the
+   destination, not a source. *)
+let vacuum_targets t =
+  List.filter_map
+    (fun rel ->
+      match Inv_file.oid_of_relname rel with
+      | Some oid ->
+        if ensure_handle t oid then
+          let inv = Hashtbl.find t.files oid in
+          Some (rel, Some (Inv_file.index_maintenance_on_vacuum inv))
+        else None
+      | None ->
+        if String.equal rel "naming" then
           Some (rel, Some (Naming.index_maintenance_on_vacuum t.naming))
         else if String.equal rel "fileatt" then
           Some (rel, Some (Fileatt.index_maintenance_on_vacuum t.fileatt))
         else if String.equal rel clonemap_rel then Some (rel, None)
         else None)
-      (Db.relations t.db)
+    (Db.relations t.db)
+
+(* One relation's full pass; a writer holding it makes the pass give way,
+   which the caller sees as EBUSY. *)
+let vacuum_pass t ?horizon ~mode (rel, on_remove) =
+  let st =
+    translate_locks (fun () -> Db.vacuum t.db ~relation:rel ?horizon ~mode ?on_remove ())
   in
-  match targets with
+  if st.Relstore.Vacuum.s_skipped then
+    Errors.fail Errors.EBUSY "vacuum of %s gave way: a writer holds it" rel;
+  st
+
+let vacuum_file t ~oid ?horizon ~mode () =
+  match file_handle t ~oid with
+  | None -> Errors.fail Errors.ENOENT "no file with oid %Ld" oid
+  | Some inv ->
+    vacuum_pass t ?horizon ~mode
+      (Inv_file.relname oid, Some (Inv_file.index_maintenance_on_vacuum inv))
+
+let vacuum_all t ?horizon ~mode () =
+  List.map
+    (fun ((rel, _) as target) -> (rel, vacuum_pass t ?horizon ~mode target))
+    (vacuum_targets t)
+
+(* One budgeted increment of the concurrent vacuum, round-robin over
+   {!vacuum_targets}: each call steps ONE relation's window; the cursor
+   stays on a relation until its pass wraps (or it skipped for a
+   writer), then moves on.  Returns the relation stepped and its stats,
+   or [None] when there is nothing to vacuum. *)
+let vacuum_step t ?pages ~mode () =
+  match vacuum_targets t with
   | [] -> None
-  | _ ->
+  | targets ->
     let idx = t.vac_rr mod List.length targets in
     let rel, on_remove = List.nth targets idx in
     let st =
@@ -1376,47 +1392,6 @@ let migrate_file t ~oid ~device =
               { att with Fileatt.device; index_segid = Inv_file.index_segid dst }
           | None -> ())
     end
-
-let vacuum_catalogs t ?horizon ~mode () =
-  let s1 =
-    translate_locks (fun () ->
-        Db.vacuum t.db ~relation:"naming" ?horizon ~mode
-          ~on_remove:(Naming.index_maintenance_on_vacuum t.naming) ())
-  in
-  let s2 =
-    translate_locks (fun () ->
-        Db.vacuum t.db ~relation:"fileatt" ?horizon ~mode
-          ~on_remove:(Fileatt.index_maintenance_on_vacuum t.fileatt) ())
-  in
-  {
-    Relstore.Vacuum.scanned = s1.Relstore.Vacuum.scanned + s2.Relstore.Vacuum.scanned;
-    archived = s1.archived + s2.archived;
-    discarded = s1.discarded + s2.discarded;
-    pages_compacted = s1.pages_compacted + s2.pages_compacted;
-  }
-
-let combine_stats (a : Relstore.Vacuum.stats) (b : Relstore.Vacuum.stats) =
-  {
-    Relstore.Vacuum.scanned = a.Relstore.Vacuum.scanned + b.Relstore.Vacuum.scanned;
-    archived = a.archived + b.archived;
-    discarded = a.discarded + b.discarded;
-    pages_compacted = a.pages_compacted + b.pages_compacted;
-  }
-
-let vacuum_all t ?horizon ~mode () =
-  (* Every inv<oid> relation in the catalog — named or unlinked — then
-     the catalogs themselves.  Archive relations are skipped (they are
-     the destination, not a source). *)
-  let stats = ref { Relstore.Vacuum.scanned = 0; archived = 0; discarded = 0; pages_compacted = 0 } in
-  List.iter
-    (fun rel ->
-      if is_file_table rel then begin
-        let oid = oid_of_file_table rel in
-        if ensure_handle t oid then
-          stats := combine_stats !stats (vacuum_file t ~oid ?horizon ~mode ())
-      end)
-    (Db.relations t.db);
-  combine_stats !stats (vacuum_catalogs t ?horizon ~mode ())
 
 (* ---------- convenience ---------- *)
 

@@ -107,6 +107,11 @@ val p_read : session -> fd -> bytes -> int -> int
 (** Read up to [len] bytes at the file position into the buffer prefix;
     returns the count (0 at EOF). *)
 
+val p_read_string : session -> fd -> int -> string
+(** {!p_read} into a fresh string: up to [len] bytes at the file
+    position, allocating only as many bytes as the read returns (a
+    request past EOF costs nothing for the part it cannot read). *)
+
 val p_write : session -> fd -> bytes -> int -> int
 (** Write the first [len] bytes of the buffer at the file position.
     Returns [len].  [EROFS] on read-only and historical opens. *)
@@ -254,8 +259,12 @@ val fileatt_catalog : t -> Fileatt.t
 (** The catalogs (fsck and recovery audits). *)
 
 val vacuum_file :
-  t -> oid:int64 -> ?horizon:int64 -> mode:[ `Archive | `Discard ] -> unit -> Relstore.Vacuum.stats
-(** Vacuum one file's chunk table, keeping its chunk index consistent. *)
+  t -> oid:int64 -> ?horizon:int64 -> mode:[ `Archive | `Discard ] -> unit ->
+  Relstore.Vacuum.step_stats
+(** A full vacuum pass ({!Relstore.Db.vacuum}) over one file's chunk
+    table, keeping its chunk index consistent.  Runs alongside readers,
+    at the {!Relstore.Db.safe_horizon}; fails with [EBUSY], having
+    changed nothing, while a writer holds the file. *)
 
 val migrate_file : t -> oid:int64 -> device:string -> unit
 (** Move a file's storage (all record versions, stamps intact, plus a
@@ -263,17 +272,15 @@ val migrate_file : t -> oid:int64 -> device:string -> unit
     The mechanism under the {!Migrate} rules engine — the paper's
     "Services Under Investigation" file-migration feature. *)
 
-val vacuum_catalogs :
-  t -> ?horizon:int64 -> mode:[ `Archive | `Discard ] -> unit -> Relstore.Vacuum.stats
-(** Vacuum [naming] and [fileatt] (combined stats). *)
-
 val vacuum_all :
-  t -> ?horizon:int64 -> mode:[ `Archive | `Discard ] -> unit -> Relstore.Vacuum.stats
-(** The vacuum cleaner's full sweep: every file table (including those of
+  t -> ?horizon:int64 -> mode:[ `Archive | `Discard ] -> unit ->
+  (string * Relstore.Vacuum.step_stats) list
+(** The vacuum cleaner's full sweep: one full pass over each relation
+    {!vacuum_step} visits — every file table (including those of
     unlinked files, whose storage this is what finally reclaims or
-    archives) plus the catalogs.  Combined stats.  Like every
-    stop-the-world vacuum entry point, fails with [EBUSY] while any
-    transaction is active — use {!vacuum_step} under live traffic. *)
+    archives), the catalogs and the clone map.  Returns each relation
+    with its pass's stats.  Fails with [EBUSY], naming the relation, at
+    the first one a writer holds; the relations before it stay vacuumed. *)
 
 val vacuum_step :
   t ->

@@ -121,12 +121,9 @@ let audit fs =
      a [Current] snapshot left the main heap. *)
   let archived_checked = ref 0 in
   let log = Relstore.Db.status_log db in
-  let is_arch name =
-    String.length name > 5 && String.sub name (String.length name - 5) 5 = "_arch"
-  in
   List.iter
     (fun name ->
-      if is_arch name && not (is_degraded name) then
+      if Relstore.Db.is_archive_name name && not (is_degraded name) then
         match
           Relstore.Heap.scan_raw (Relstore.Db.find_relation db name)
             (fun (r : Relstore.Heap.record) ->

@@ -26,6 +26,13 @@ type t = {
 
 let relname oid = Printf.sprintf "inv%Ld" oid
 
+let oid_of_relname name =
+  if String.starts_with ~prefix:"inv" name then
+    match Int64.of_string_opt (String.sub name 3 (String.length name - 3)) with
+    | Some oid when String.equal (relname oid) name -> Some oid
+    | Some _ | None -> None
+  else None
+
 let create_named db ~oid ~relname ~device ~compressed =
   let heap = Relstore.Db.create_relation db ~name:relname ~device () in
   let index =

@@ -14,6 +14,11 @@ type t
 val relname : int64 -> string
 (** ["inv" ^ oid], e.g. [inv23114]. *)
 
+val oid_of_relname : string -> int64 option
+(** The inverse of {!relname}: [Some oid] exactly when the name is
+    [relname oid] (so ["inv23114_arch"] and ["inv23114.migrating"] are
+    [None]). *)
+
 val create :
   Relstore.Db.t -> oid:int64 -> device:string -> compressed:bool -> t
 (** Create the file's table and index on the given device. *)

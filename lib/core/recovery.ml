@@ -51,7 +51,7 @@ let report_to_string r =
     | [] -> ""
     | l -> " (" ^ String.concat "; " (List.map (fun (rel, m) -> rel ^ ": " ^ m) l) ^ ")")
     (match
-       r.catalogs_rebuilt @ List.map (fun oid -> Printf.sprintf "inv%Ld" oid) r.file_indexes_rebuilt
+       r.catalogs_rebuilt @ List.map Inv_file.relname r.file_indexes_rebuilt
      with
     | [] -> "none"
     | l -> String.concat "," l)

@@ -189,9 +189,12 @@ let find_jukebox t =
     (fun d -> Pagestore.Device.kind d = Pagestore.Device.Worm_jukebox)
     (Pagestore.Switch.devices t.switch)
 
+let archive_suffix = "_arch"
+let is_archive_name name = String.ends_with ~suffix:archive_suffix name
+
 let attach_archive t heap =
   if Heap.archive heap = None then begin
-    let arch_name = Heap.name heap ^ "_arch" in
+    let arch_name = Heap.name heap ^ archive_suffix in
     let arch =
       match find_relation_opt t arch_name with
       | Some a -> a
@@ -202,32 +205,29 @@ let attach_archive t heap =
     Heap.set_archive heap arch
   end
 
-let vacuum t ~relation ?horizon ~mode ?on_remove () =
-  (* Settle the deferred overlay and pending commits first: the vacuum
-     deletes index entries for the records it removes, and an entry still
-     staged (or an intent still replayable) must not resurrect them. *)
+(* What every vacuum entry point does first: settle the deferred overlay
+   and pending commits (the vacuum deletes index entries for the records
+   it removes, and an entry still staged, or an intent still replayable,
+   must not resurrect them), clamp the horizon to the safe horizon (an
+   explicit one may only lower it), and attach the archive heap. *)
+let vacuum_prologue t ~relation ?horizon ~mode () =
   Txn.force_group t.mgr;
   let heap = find_relation t relation in
-  (* Clamp to the safe horizon even here: the quiescence guard makes
-     active transactions moot, but snapshot/clone leases must hold the
-     stop-the-world pass back exactly as they hold the incremental one. *)
   let horizon =
     match horizon with
     | Some h -> min h (safe_horizon t)
     | None -> safe_horizon t
   in
   (match mode with `Discard -> () | `Archive -> attach_archive t heap);
-  Vacuum.run heap ~log:t.log ~horizon ~mode ?on_remove ()
+  (heap, horizon)
+
+let vacuum t ~relation ?horizon ~mode ?on_remove () =
+  let heap, horizon = vacuum_prologue t ~relation ?horizon ~mode () in
+  Vacuum.step heap ~mgr:t.mgr ~horizon ~mode ?on_remove ~start_block:0
+    ~pages:(Heap.nblocks heap) ()
 
 let vacuum_step t ~relation ?horizon ~mode ?(pages = 4) ?on_remove () =
-  Txn.force_group t.mgr;
-  let heap = find_relation t relation in
-  let horizon =
-    match horizon with
-    | Some h -> min h (safe_horizon t)
-    | None -> safe_horizon t
-  in
-  (match mode with `Discard -> () | `Archive -> attach_archive t heap);
+  let heap, horizon = vacuum_prologue t ~relation ?horizon ~mode () in
   let start_block =
     Option.value (Hashtbl.find_opt t.vacuum_cursors relation) ~default:0
   in

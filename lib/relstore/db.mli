@@ -108,14 +108,20 @@ val crash_and_recover : t -> Xid.t list * (string * string) list
 
 val vacuum :
   t -> relation:string -> ?horizon:int64 -> mode:[ `Archive | `Discard ] ->
-  ?on_remove:(Heap.record -> unit) -> unit -> Vacuum.stats
-(** Run the stop-the-world vacuum cleaner on one relation.  [horizon]
-    defaults to {!safe_horizon} (everything already dead that no
-    snapshot/clone lease still needs) and is clamped to it when given
-    explicitly.  In
+  ?on_remove:(Heap.record -> unit) -> unit -> Vacuum.step_stats
+(** A full vacuum pass over one relation: one {!Vacuum.step} whose window
+    is every page from block 0.  The per-relation cursor of
+    {!vacuum_step} is left alone.  [horizon] defaults to {!safe_horizon}
+    (everything already dead that no live transaction or snapshot/clone
+    lease still needs) and is clamped to it when given explicitly.  In
     [`Archive] mode an archive relation [name ^ "_arch"] is created on
     demand — on a jukebox-class device if one is registered, else the
-    default device.  Raises {!Vacuum.Busy} if any transaction is active. *)
+    default device.  Runs alongside readers; gives way ([s_skipped],
+    nothing done) when a writer holds the relation. *)
+
+val is_archive_name : string -> bool
+(** Whether a relation name is one {!vacuum} creates for archived
+    versions ([name ^ "_arch"]). *)
 
 (** {2 Incremental vacuum and time-travel leases} *)
 

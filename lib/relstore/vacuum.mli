@@ -11,34 +11,11 @@
     the heap attached with {!Heap.set_archive} — typically on the WORM
     jukebox — so [As_of] scans still see them; in [`Discard] mode history
     before the horizon is lost, which is what POSTGRES does for relations
-    whose users "have no interest in maintaining history". *)
+    whose users "have no interest in maintaining history".
 
-type stats = {
-  scanned : int;  (** record versions examined *)
-  archived : int;  (** moved to the archive heap *)
-  discarded : int;  (** physically removed without archiving *)
-  pages_compacted : int;
-}
-
-exception Busy of Xid.t list
-(** Raised by {!run} when transactions are in progress: the stop-the-world
-    sweep rewrites pages without taking locks, so it demands quiescence.
-    Carries the active xids.  The file-system layer surfaces this as
-    [EBUSY]; live systems use {!step} instead. *)
-
-val run :
-  Heap.t ->
-  log:Status_log.t ->
-  horizon:int64 ->
-  mode:[ `Archive | `Discard ] ->
-  ?on_remove:(Heap.record -> unit) ->
-  unit ->
-  stats
-(** Sweep the whole heap in one stop-the-world pass.  [on_remove] fires
-    for every version leaving the main heap (archived or discarded) so
-    callers can fix index entries pointing at its TID.  [`Archive]
-    requires an attached archive heap.  Raises {!Busy} if any transaction
-    is active. *)
+    {!step} is the one vacuum algorithm.  Callers drive it two ways: a
+    budgeted window that resumes from a cursor ({!Db.vacuum_step}), or a
+    full pass whose window is the whole heap ({!Db.vacuum}). *)
 
 type step_stats = {
   s_scanned : int;
@@ -72,4 +49,5 @@ val step :
     transaction's start and every registered [As_of] lease (see
     {!Db.safe_horizon}).  A crash between the two commits at worst leaves
     archived duplicates, which {!Heap.scan} collapses; re-running the
-    step is idempotent. *)
+    step is idempotent.  A window of [Heap.nblocks heap] pages from
+    block 0 is a full pass. *)

@@ -199,7 +199,7 @@ val c_clone : t -> src:string -> dst:string -> unit
 val c_vacuum_step : t -> ?pages:int -> unit -> int
 (** Run one budgeted increment of the concurrent archive vacuum on the
     server; returns record versions scanned.  [pages <= 0] (the default)
-    uses the server's configured budget. *)
+    means 4 pages. *)
 
 val with_txn : t -> (t -> 'a) -> 'a
 (** Run [f] inside one server-side transaction: begin, [f], commit; any

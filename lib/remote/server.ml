@@ -81,14 +81,6 @@ type t = {
   park_cap : int;
   lock_wait_s : float;
   shed_mark : int; (* depth at which retry traffic sheds *)
-  (* Background incremental vacuum: every [vacuum_every_s] simulated
-     seconds of pump time, run one budgeted [Fs.vacuum_step] increment
-     (archive mode, [vacuum_pages] pages) before admitting requests.
-     0. disables the timer. *)
-  vacuum_every_s : float;
-  vacuum_pages : int;
-  mutable next_vacuum : float;
-  mutable vacuum_steps : int;
   mutable on_crash : t -> unit;
   mutable role : role;
   mutable links : Link.t list;
@@ -132,7 +124,7 @@ let default_on_crash t = ignore (Fs.crash_and_recover t.fs : Fs.recovery)
 
 let create ~fs ?(lease_s = 120.) ?(dedup_window = 16) ?(run_cap = 256)
     ?(park_cap = 64) ?(lock_wait_s = 0.) ?(shed_watermark = 0.75)
-    ?(vacuum_every_s = 0.) ?(vacuum_pages = 4) ?on_crash () =
+    ?on_crash () =
   if run_cap < 1 then invalid_arg "Server.create: run_cap must be >= 1";
   if park_cap < 0 then invalid_arg "Server.create: park_cap must be >= 0";
   let t =
@@ -146,10 +138,6 @@ let create ~fs ?(lease_s = 120.) ?(dedup_window = 16) ?(run_cap = 256)
       park_cap;
       lock_wait_s;
       shed_mark = max 1 (int_of_float (shed_watermark *. float_of_int run_cap));
-      vacuum_every_s;
-      vacuum_pages;
-      next_vacuum = vacuum_every_s;
-      vacuum_steps = 0;
       on_crash = default_on_crash;
       role = Standalone;
       links = [];
@@ -210,7 +198,6 @@ let run_queue_depth t = Queue.length t.run_q
 let group_defers t = t.group_defers
 let closes_carried t = t.closes_carried
 let begins_carried t = t.begins_carried
-let vacuum_steps t = t.vacuum_steps
 
 let attach t link = if not (List.memq link t.links) then t.links <- link :: t.links
 
@@ -301,6 +288,12 @@ let checked_read_len len =
   if len < 0 then Errors.fail Errors.EINVAL "negative read length %d" len;
   min len max_read_len
 
+(* A read's reply holds only the bytes read, however far past EOF the
+   requested length reaches. *)
+let read_reply fsess fd ~off len =
+  ignore (Fs.p_lseek fsess fd off Fs.Seek_set : int64);
+  Wire.R_data (Fs.p_read_string fsess fd len)
+
 let oid_of_shard_name name =
   if String.length name > 1 && name.[0] = 'o' then
     Int64.of_string_opt (String.sub name 1 (String.length name - 1))
@@ -377,12 +370,7 @@ let exec t (s : sess) (req : Wire.req) : Wire.result =
   | Wire.Close { fd } ->
     Fs.p_close fsess fd;
     Wire.R_unit
-  | Wire.Read { fd; off; len } ->
-    let len = checked_read_len len in
-    ignore (Fs.p_lseek fsess fd off Fs.Seek_set : int64);
-    let buf = Bytes.create len in
-    let n = Fs.p_read fsess fd buf len in
-    Wire.R_data (Bytes.sub_string buf 0 n)
+  | Wire.Read { fd; off; len } -> read_reply fsess fd ~off (checked_read_len len)
   | Wire.Write { fd; off; data } ->
     ignore (Fs.p_lseek fsess fd off Fs.Seek_set : int64);
     let b = Bytes.of_string data in
@@ -441,11 +429,7 @@ let exec t (s : sess) (req : Wire.req) : Wire.result =
     let path = shard_path oid in
     if not (Fs.exists fsess path) then Wire.R_data "" (* never written: sparse-empty *)
     else
-      with_fd fsess (Fs.p_open fsess path Fs.Rdonly) (fun fd ->
-          ignore (Fs.p_lseek fsess fd off Fs.Seek_set : int64);
-          let buf = Bytes.create len in
-          let n = Fs.p_read fsess fd buf len in
-          Wire.R_data (Bytes.sub_string buf 0 n))
+      with_fd fsess (Fs.p_open fsess path Fs.Rdonly) (fun fd -> read_reply fsess fd ~off len)
   | Wire.Shard_write { oid; off; data; epoch } ->
     shard_fence t ~epoch ~oid;
     with_fd fsess (open_or_creat fsess (shard_path oid)) (fun fd ->
@@ -505,8 +489,8 @@ let exec t (s : sess) (req : Wire.req) : Wire.result =
     ignore (Fs.clone fsess ~src ~dst : int64);
     Wire.R_unit
   | Wire.Vacuum_step { pages } ->
-    let pages = if pages <= 0 then t.vacuum_pages else pages in
-    (match Fs.vacuum_step t.fs ~pages ~mode:`Archive () with
+    let pages = if pages <= 0 then None else Some pages in
+    (match Fs.vacuum_step t.fs ?pages ~mode:`Archive () with
     | Some (_, st) -> Wire.R_int (Int64.of_int st.Relstore.Vacuum.s_scanned)
     | None -> Wire.R_int 0L)
 
@@ -1003,32 +987,9 @@ let flush_group t =
    which drains the run queue and drives the parked requests' lock-wait
    and resume timers.  Everything is driven by the shared simulated
    clock; a pump with nothing to do is free. *)
-(* The background-vacuum timer slot.  Rides the event loop like lease
-   expiry: one budgeted increment per due tick, never a long pause —
-   the point of the incremental design is that foreground requests in
-   the same turn see at most a few latched pages of interference.  A
-   skipped step (writer held the relation) still counts as the tick;
-   the cursor did not move, so the next tick retries the same window. *)
-let vacuum_tick t =
-  if t.vacuum_every_s > 0. then begin
-    let now = Simclock.Clock.now t.clock in
-    if now >= t.next_vacuum then begin
-      t.next_vacuum <- now +. t.vacuum_every_s;
-      (try
-         (match Fs.vacuum_step t.fs ~pages:t.vacuum_pages ~mode:`Archive () with
-         | Some _ -> t.vacuum_steps <- t.vacuum_steps + 1
-         | None -> ())
-       with Errors.Fs_error _ -> (* e.g. a foreground txn holds the heap *) ())
-    end
-  end
-
 let pump_turn t =
   expire_leases t;
   let crashed = ref false in
-  (try vacuum_tick t
-   with Pagestore.Device.Crash_injected _ ->
-     crash_now t;
-     crashed := true);
   List.iter
     (fun link ->
       let rec drain () =

@@ -133,8 +133,6 @@ val create :
   ?park_cap:int ->
   ?lock_wait_s:float ->
   ?shed_watermark:float ->
-  ?vacuum_every_s:float ->
-  ?vacuum_pages:int ->
   ?on_crash:(t -> unit) ->
   unit ->
   t
@@ -147,12 +145,10 @@ val create :
     [lock_wait_s] (default 0) is how long a parked request may wait for
     its lock before expiring with [ETIMEDOUT]; the default expires
     same-pump, preserving the old immediate-conflict-reply behaviour.
-    [vacuum_every_s] (default 0 = disabled) arms the background-vacuum
-    timer slot: every that many simulated seconds the pump runs one
-    budgeted {!Invfs.Fs.vacuum_step} increment of [vacuum_pages]
-    (default 4) pages in archive mode before admitting requests — old
-    versions migrate to the WORM tier continuously instead of in a
-    stop-the-world pass. *)
+    The server runs no vacuum of its own: the admin request
+    {!Wire.Vacuum_step} is the one remote driver, one budgeted
+    {!Invfs.Fs.vacuum_step} increment in archive mode per request
+    ([pages <= 0] means that function's default of 4 pages). *)
 
 val attach : t -> Netsim.Link.t -> unit
 (** Accept a connection (idempotent).  Clients create a link and attach
@@ -250,6 +246,3 @@ val begins_carried : t -> int
     re-execution does not repeat it.  An answer that is not recorded
     (shed because parking was full, wrong shard) rolls it back
     uncounted, so the re-offered compound runs it afresh. *)
-
-val vacuum_steps : t -> int
-(** Background-vacuum increments this server has run (timer slot). *)

@@ -125,6 +125,63 @@ let test_crash_mid_multichunk_autocommit () =
   Alcotest.(check string) "atomic: old contents survive whole" "original contents"
     (str (Fs.read_whole_file s "/f"))
 
+(* A crash at every device write of an archive-mode full sweep: each
+   recovery is clean (the archive phase of fsck included) and the
+   history a pre-sweep snapshot saw reads back byte for byte. *)
+let test_crash_during_full_vacuum () =
+  let setup () =
+    let clock = Simclock.Clock.create () in
+    let switch = Pagestore.Switch.create ~clock in
+    List.iter
+      (fun (name, kind) ->
+        ignore (Pagestore.Switch.add_device switch ~name ~kind () : D.t))
+      [ ("disk0", D.Magnetic_disk); ("jukebox", D.Worm_jukebox) ];
+    let fs = Fs.make (Relstore.Db.create ~switch ~clock ()) () in
+    let s = Fs.new_session fs in
+    List.iter
+      (fun (path, c) -> Fs.write_file s path (Bytes.make 9000 c))
+      [ ("/a", 'a'); ("/b", 'b'); ("/a", 'A') ];
+    Fs.mkdir s "/d";
+    let snap = Fs.snapshot fs in
+    let paths = [ "/a"; "/b" ] in
+    let before = List.map (fun p -> str (Fs.read_whole_file s ~timestamp:snap p)) paths in
+    Fs.write_file s "/a" (bytes_of "later");
+    Fs.rename s "/b" "/d/b";
+    Simclock.Clock.advance clock 1.;
+    let plan = F.create () in
+    F.arm_switch plan switch;
+    F.arm_cache plan (Db.cache (Fs.db fs));
+    (fs, plan, snap, paths, before)
+  in
+  let rec crash_at k =
+    let fs, plan, snap, paths, before = setup () in
+    F.schedule plan ~io:F.Write ~after:k F.Crash;
+    match Fs.vacuum_all fs ~mode:`Archive () with
+    | passes ->
+      let archived =
+        List.fold_left (fun n (_, st) -> n + st.Relstore.Vacuum.s_archived) 0 passes
+      in
+      Alcotest.(check bool) "the sweep archived history" true (archived > 0);
+      k - 1
+    | exception D.Crash_injected _ ->
+      F.clear_schedule plan;
+      ignore (recover_clean fs : Rec.report);
+      let audit = Invfs.Fsck.audit fs in
+      Alcotest.(check bool)
+        (Printf.sprintf "fsck after a crash at write %d: %s" k
+           (Invfs.Fsck.report_to_string audit))
+        true (Invfs.Fsck.is_clean audit);
+      let s = Fs.new_session fs in
+      Alcotest.(check (list string))
+        (Printf.sprintf "pre-sweep snapshot after a crash at write %d" k)
+        before
+        (List.map (fun p -> str (Fs.read_whole_file s ~timestamp:snap p)) paths);
+      Alcotest.(check string) "current state" "later" (str (Fs.read_whole_file s "/a"));
+      crash_at (k + 1)
+  in
+  let crashes = crash_at 1 in
+  Alcotest.(check bool) (Printf.sprintf "%d crash points" crashes) true (crashes >= 4)
+
 (* ---- logical REDO of deferred index intents ---- *)
 
 let make_fs_knobs () =
@@ -271,6 +328,8 @@ let () =
       ( "directed crashes",
         [
           Alcotest.test_case "mid-commit flush" `Quick test_crash_during_commit_flush;
+          Alcotest.test_case "every write of a full archive vacuum" `Quick
+            test_crash_during_full_vacuum;
           Alcotest.test_case "mid multi-chunk auto write" `Quick
             test_crash_mid_multichunk_autocommit;
           Alcotest.test_case "multiple open sessions" `Quick

@@ -214,15 +214,12 @@ let populated_with_history () =
 
 let arch_heap fs =
   let db = Fs.db fs in
-  let is_arch n =
-    String.length n > 5 && String.sub n (String.length n - 5) 5 = "_arch"
-  in
   let nonempty n =
     let some = ref false in
     Relstore.Heap.scan_raw (Relstore.Db.find_relation db n) (fun _ -> some := true);
     !some
   in
-  let name = List.find (fun n -> is_arch n && nonempty n) (Relstore.Db.relations db) in
+  let name = List.find (fun n -> Relstore.Db.is_archive_name n && nonempty n) (Relstore.Db.relations db) in
   Relstore.Db.find_relation db name
 
 let test_archive_audit_clean () =

@@ -727,9 +727,9 @@ let test_vacuum_file_reclaims_history () =
   let oid = Fs.lookup_oid s "/f" in
   let stats = Fs.vacuum_file fs ~oid ~mode:`Discard () in
   Alcotest.(check bool)
-    (Printf.sprintf "discarded %d old versions" stats.Relstore.Vacuum.discarded)
+    (Printf.sprintf "discarded %d old versions" stats.Relstore.Vacuum.s_discarded)
     true
-    (stats.Relstore.Vacuum.discarded >= 5);
+    (stats.Relstore.Vacuum.s_discarded >= 5);
   Alcotest.(check string) "current intact" (String.make 9000 'b')
     (str (Fs.read_whole_file s "/f"));
   let report = Invfs.Fsck.audit fs in
@@ -754,10 +754,89 @@ let test_vacuum_archive_time_travel () =
   advance fs 1.;
   let oid = Fs.lookup_oid s "/f" in
   let stats = Fs.vacuum_file fs ~oid ~mode:`Archive () in
-  Alcotest.(check bool) "archived something" true (stats.Relstore.Vacuum.archived >= 1);
+  Alcotest.(check bool) "archived something" true (stats.Relstore.Vacuum.s_archived >= 1);
   Alcotest.(check string) "history readable from archive" "ancient"
     (str (Fs.read_whole_file s ~timestamp:t1 "/f"))
 
+let test_vacuum_file_alongside_reader () =
+  (* a full pass runs while another session's transaction reads the
+     file: it holds the file's shared lock, which the pass shares *)
+  let fs, s = fresh () in
+  Fs.write_file s "/f" (bytes_of "v1");
+  Fs.write_file s "/f" (bytes_of "v2");
+  advance fs 1.;
+  let oid = Fs.lookup_oid s "/f" in
+  let reader = Fs.new_session fs in
+  Fs.p_begin reader;
+  Alcotest.(check string) "reader sees v2" "v2" (str (Fs.read_whole_file reader "/f"));
+  advance fs 1.;
+  let st = Fs.vacuum_file fs ~oid ~mode:`Discard () in
+  Alcotest.(check bool) "the pass ran" false st.Relstore.Vacuum.s_skipped;
+  Alcotest.(check bool) "v1 reclaimed under the reader" true
+    (st.Relstore.Vacuum.s_discarded >= 1);
+  Alcotest.(check string) "reader still sees v2" "v2"
+    (str (Fs.read_whole_file reader "/f"));
+  Fs.p_commit reader;
+  let report = Invfs.Fsck.audit fs in
+  Alcotest.(check bool) (Invfs.Fsck.report_to_string report) true (Invfs.Fsck.is_clean report)
+
+let test_vacuum_file_busy_under_writer () =
+  (* a writer holding the file makes the pass fail with EBUSY, naming
+     the relation, before it touches a page *)
+  let fs, s = fresh () in
+  Fs.write_file s "/f" (bytes_of "v1");
+  Fs.write_file s "/f" (bytes_of "v2");
+  advance fs 1.;
+  let oid = Fs.lookup_oid s "/f" in
+  let heap = Invfs.Inv_file.heap (Option.get (Fs.file_handle fs ~oid)) in
+  let versions () =
+    let l = ref [] in
+    Relstore.Heap.scan_raw heap (fun r -> l := r.Relstore.Heap.tid :: !l);
+    !l
+  in
+  let writer = Fs.new_session fs in
+  Fs.p_begin writer;
+  let fd = Fs.p_open writer "/f" Fs.Rdwr in
+  ignore (Fs.p_write writer fd (bytes_of "v3") 2 : int);
+  Fs.p_close writer fd;
+  let before = versions () in
+  (match Fs.vacuum_file fs ~oid ~mode:`Discard () with
+  | _ -> Alcotest.fail "expected EBUSY"
+  | exception E.Fs_error (E.EBUSY, msg) ->
+    let rel = Invfs.Inv_file.relname oid in
+    let n = String.length rel in
+    let rec names i =
+      i + n <= String.length msg && (String.sub msg i n = rel || names (i + 1))
+    in
+    Alcotest.(check bool) ("names " ^ rel ^ ": " ^ msg) true (names 0));
+  Alcotest.(check bool) "nothing changed" true (versions () = before);
+  Fs.p_abort writer;
+  let st = Fs.vacuum_file fs ~oid ~mode:`Discard () in
+  Alcotest.(check bool) "runs once the writer is gone" true
+    (st.Relstore.Vacuum.s_discarded >= 2)
+
+let test_vacuum_all_reclaims_clonemap () =
+  (* shrinking a clone below its base severs it, which leaves a dead
+     clone-map version that only a pass over the clone map reclaims *)
+  let fs, s = fresh () in
+  Fs.write_file s "/base" (bytes_of "0123456789");
+  ignore (Fs.clone s ~src:"/base" ~dst:"/copy" : int64);
+  let fd = Fs.p_open s "/copy" Fs.Rdwr in
+  Fs.ftruncate s fd 4L;
+  Fs.p_close s fd;
+  advance fs 1.;
+  let passes = Fs.vacuum_all fs ~mode:`Discard () in
+  let cm =
+    match List.assoc_opt "clonemap" passes with
+    | Some st -> st
+    | None -> Alcotest.fail "the full sweep skipped the clone map"
+  in
+  Alcotest.(check int) "the severed mapping is discarded" 1 cm.Relstore.Vacuum.s_discarded;
+  Alcotest.(check string) "clone keeps its prefix" "0123"
+    (str (Fs.read_whole_file s "/copy"));
+  Alcotest.(check string) "base intact" "0123456789" (str (Fs.read_whole_file s "/base"));
+  let report = Invfs.Fsck.audit fs in
+  Alcotest.(check bool) (Invfs.Fsck.report_to_string report) true (Invfs.Fsck.is_clean report)
 
 (* ---- O(1) snapshots and copy-on-write clones ---- *)
 
@@ -790,13 +869,13 @@ let test_pin_snapshot_blocks_discard_vacuum () =
   let oid = Fs.lookup_oid s "/f" in
   let st = Fs.vacuum_file fs ~oid ~mode:`Discard () in
   Alcotest.(check int) "pinned history survives the discard vacuum" 0
-    st.Relstore.Vacuum.discarded;
+    st.Relstore.Vacuum.s_discarded;
   Alcotest.(check string) "still readable" "old"
     (str (Fs.read_whole_file s ~timestamp:h "/f"));
   Fs.unpin_snapshot fs lease;
   let st = Fs.vacuum_file fs ~oid ~mode:`Discard () in
   Alcotest.(check bool) "unpinned history is reclaimed" true
-    (st.Relstore.Vacuum.discarded >= 1)
+    (st.Relstore.Vacuum.s_discarded >= 1)
 
 let test_clone_shares_then_diverges () =
   let fs, s = fresh () in
@@ -874,7 +953,7 @@ let test_clone_survives_crash () =
   Fs.write_file s "/base" (bytes_of "changed");
   advance fs 1.;
   let oid = Fs.lookup_oid s "/base" in
-  ignore (Fs.vacuum_file fs ~oid ~mode:`Discard () : Relstore.Vacuum.stats);
+  ignore (Fs.vacuum_file fs ~oid ~mode:`Discard () : Relstore.Vacuum.step_stats);
   Alcotest.(check string) "clone still reads its base horizon" "shared bytes"
     (str (Fs.read_whole_file s "/copy"))
 
@@ -897,11 +976,13 @@ let test_vacuum_all_sweeps_everything () =
   Fs.write_file s "/doomed" (Bytes.make 9000 'd');
   Fs.unlink s "/doomed";
   advance fs 1.;
-  let stats = Fs.vacuum_all fs ~mode:`Discard () in
-  Alcotest.(check bool)
-    (Printf.sprintf "discarded %d" stats.Relstore.Vacuum.discarded)
-    true
-    (stats.Relstore.Vacuum.discarded >= 3);
+  let discarded =
+    List.fold_left
+      (fun n (_, st) -> n + st.Relstore.Vacuum.s_discarded)
+      0
+      (Fs.vacuum_all fs ~mode:`Discard ())
+  in
+  Alcotest.(check bool) (Printf.sprintf "discarded %d" discarded) true (discarded >= 3);
   (* live data untouched; system still consistent *)
   Alcotest.(check string) "live file intact" "v2" (str (Fs.read_whole_file s "/keep"));
   let report = Invfs.Fsck.audit fs in
@@ -1126,6 +1207,12 @@ let () =
           Alcotest.test_case "discard reclaims" `Quick test_vacuum_file_reclaims_history;
           Alcotest.test_case "archive keeps time travel" `Quick test_vacuum_archive_time_travel;
           Alcotest.test_case "vacuum_all sweeps" `Quick test_vacuum_all_sweeps_everything;
+          Alcotest.test_case "full pass alongside a reader" `Quick
+            test_vacuum_file_alongside_reader;
+          Alcotest.test_case "full pass EBUSY under a writer" `Quick
+            test_vacuum_file_busy_under_writer;
+          Alcotest.test_case "vacuum_all reclaims the clone map" `Quick
+            test_vacuum_all_reclaims_clonemap;
         ] );
       ( "snapshots and clones",
         [

@@ -369,7 +369,7 @@ let test_vacuum_respects_horizon () =
   (* this version dies AFTER the horizon: it must be kept *)
   ignore (Db.with_txn db (fun txn -> H.update heap txn tid (payload "new")));
   let stats = Db.vacuum db ~relation:"t" ~horizon ~mode:`Discard () in
-  Alcotest.(check int) "nothing before horizon was dead" 0 stats.discarded;
+  Alcotest.(check int) "nothing before horizon was dead" 0 stats.s_discarded;
   Alcotest.(check bool) "old version still present" true (H.fetch_any heap tid <> None)
 
 let test_scan_skips_unwritten_pages () =
@@ -395,7 +395,7 @@ let test_vacuum_discard () =
   ignore (Db.with_txn db (fun txn -> H.update heap txn tid (payload "v2")));
   Simclock.Clock.advance (Db.clock db) 1.;
   let stats = Db.vacuum db ~relation:"t" ~mode:`Discard () in
-  Alcotest.(check int) "one version discarded" 1 stats.discarded;
+  Alcotest.(check int) "one version discarded" 1 stats.s_discarded;
   Alcotest.(check bool) "old version physically gone" true (H.fetch_any heap tid = None);
   (* current version still readable *)
   let reader = Db.begin_txn db in
@@ -414,7 +414,7 @@ let test_vacuum_archive_preserves_time_travel () =
   ignore (Db.with_txn db (fun txn -> H.update heap txn tid (payload "v2")));
   Simclock.Clock.advance (Db.clock db) 1.;
   let stats = Db.vacuum db ~relation:"t" ~mode:`Archive () in
-  Alcotest.(check int) "archived" 1 stats.archived;
+  Alcotest.(check int) "archived" 1 stats.s_archived;
   (* time travel to t_v1 still finds v1, via the archive *)
   let snap = Relstore.Snapshot.As_of t_v1 in
   let seen = ref [] in
@@ -428,25 +428,33 @@ let test_vacuum_removes_aborted () =
   ignore (H.insert heap txn ~oid:1L (payload "junk"));
   T.abort txn;
   let stats = Db.vacuum db ~relation:"t" ~mode:`Discard () in
-  Alcotest.(check int) "aborted garbage collected" 1 stats.discarded
+  Alcotest.(check int) "aborted garbage collected" 1 stats.s_discarded
 
 
 (* ---- incremental concurrent vacuum & the WORM tier ---- *)
 
-let test_vacuum_run_busy_guard () =
-  (* the stop-the-world pass requires quiescence: with any transaction
-     active it must refuse outright rather than yank pages from under it *)
+let test_vacuum_full_pass_gives_way_to_writer () =
+  (* the full pass is one step over the whole heap: a writer holding the
+     relation makes it give way untouched; once the writer commits, the
+     same pass reclaims the dead version *)
   let db = fresh_db () in
   let heap = Db.create_relation db ~name:"t" () in
-  let open_txn = Db.begin_txn db in
-  ignore (H.insert heap open_txn ~oid:1L (payload "x"));
-  Alcotest.(check bool) "Busy raised while a txn is active" true
-    (try
-       ignore (Db.vacuum db ~relation:"t" ~mode:`Discard () : Relstore.Vacuum.stats);
-       false
-     with Relstore.Vacuum.Busy xids -> xids <> []);
-  ignore (T.commit open_txn : int64);
-  ignore (Db.vacuum db ~relation:"t" ~mode:`Discard () : Relstore.Vacuum.stats)
+  let tid = Db.with_txn db (fun txn -> H.insert heap txn ~oid:1L (payload "v1")) in
+  ignore (Db.with_txn db (fun txn -> H.update heap txn tid (payload "v2")));
+  Simclock.Clock.advance (Db.clock db) 1.;
+  let writer = Db.begin_txn db in
+  ignore (H.insert heap writer ~oid:2L (payload "x"));
+  let st = Db.vacuum db ~relation:"t" ~mode:`Discard () in
+  Alcotest.(check bool) "skipped while the writer holds the relation" true
+    st.Relstore.Vacuum.s_skipped;
+  Alcotest.(check int) "nothing discarded" 0 st.Relstore.Vacuum.s_discarded;
+  Alcotest.(check bool) "dead version still present" true (H.fetch_any heap tid <> None);
+  ignore (T.commit writer : int64);
+  Simclock.Clock.advance (Db.clock db) 1.;
+  let st = Db.vacuum db ~relation:"t" ~mode:`Discard () in
+  Alcotest.(check bool) "runs once the writer is gone" false st.Relstore.Vacuum.s_skipped;
+  Alcotest.(check int) "dead version discarded" 1 st.Relstore.Vacuum.s_discarded;
+  Alcotest.(check bool) "dead version gone" true (H.fetch_any heap tid = None)
 
 let dead_versions db heap n =
   (* [n] records, each updated once: [n] dead versions spread over the heap *)
@@ -537,7 +545,7 @@ let test_vacuum_on_remove_fires_exactly_once () =
         then dead := r.H.tid :: !dead);
     List.sort compare !dead
   in
-  (* stop-the-world *)
+  (* one full pass *)
   let db = fresh_db () in
   let heap = Db.create_relation db ~name:"t" () in
   dead_versions db heap 5;
@@ -547,10 +555,10 @@ let test_vacuum_on_remove_fires_exactly_once () =
     (Db.vacuum db ~relation:"t" ~mode:`Discard
        ~on_remove:(fun r -> removed := r.H.tid :: !removed)
        ()
-      : Relstore.Vacuum.stats);
-  Alcotest.(check int) "run: one callback per dead version" (List.length expected)
+      : Relstore.Vacuum.step_stats);
+  Alcotest.(check int) "full pass: one callback per dead version" (List.length expected)
     (List.length !removed);
-  Alcotest.(check bool) "run: exact tid set" true
+  Alcotest.(check bool) "full pass: exact tid set" true
     (List.sort compare !removed = expected);
   (* incremental, across the whole cursor pass *)
   let db = fresh_db () in
@@ -573,7 +581,7 @@ let test_archive_is_append_only () =
   let db = fresh_db () in
   let heap = Db.create_relation db ~name:"t" () in
   dead_versions db heap 1;
-  ignore (Db.vacuum db ~relation:"t" ~mode:`Archive () : Relstore.Vacuum.stats);
+  ignore (Db.vacuum db ~relation:"t" ~mode:`Archive () : Relstore.Vacuum.step_stats);
   let arch = Option.get (H.archive heap) in
   let archived = ref [] in
   H.scan_raw arch (fun r -> archived := r :: !archived);
@@ -935,7 +943,8 @@ let () =
           Alcotest.test_case "archive keeps history" `Quick
             test_vacuum_archive_preserves_time_travel;
           Alcotest.test_case "aborted garbage" `Quick test_vacuum_removes_aborted;
-          Alcotest.test_case "run refuses active txns" `Quick test_vacuum_run_busy_guard;
+          Alcotest.test_case "full pass gives way to a writer" `Quick
+            test_vacuum_full_pass_gives_way_to_writer;
           Alcotest.test_case "step budget and cursor" `Quick
             test_vacuum_step_budget_and_cursor;
           Alcotest.test_case "step yields to writer" `Quick test_vacuum_step_yields_to_writer;

@@ -11,7 +11,7 @@ module Client = Remote.Client
 module Link = Netsim.Link
 module F = Faultsim
 
-let mk ?lease_s ?run_cap ?park_cap ?lock_wait_s ?shed_watermark ?vacuum_every_s ?vacuum_pages () =
+let mk ?lease_s ?run_cap ?park_cap ?lock_wait_s ?shed_watermark () =
   let clock = Simclock.Clock.create () in
   let switch = Pagestore.Switch.create ~clock in
   ignore
@@ -21,8 +21,7 @@ let mk ?lease_s ?run_cap ?park_cap ?lock_wait_s ?shed_watermark ?vacuum_every_s 
   let db = Relstore.Db.create ~switch ~clock () in
   let fs = Fs.make db () in
   let server =
-    Server.create ~fs ?lease_s ?run_cap ?park_cap ?lock_wait_s ?shed_watermark
-      ?vacuum_every_s ?vacuum_pages ()
+    Server.create ~fs ?lease_s ?run_cap ?park_cap ?lock_wait_s ?shed_watermark ()
   in
   let net = Netsim.create ~clock Netsim.tcp_1993 in
   (clock, fs, server, net)
@@ -400,6 +399,40 @@ let test_partition_heals () =
   Alcotest.(check (list string)) "answer after healing" [ "d" ] (Client.c_readdir c "/");
   Alcotest.(check int) "two messages swallowed" 2 (Link.partitioned (Client.link c));
   F.disarm plan
+
+(* A read sized far past EOF costs the server the bytes it returns, not
+   the bytes it was asked for: 4 MiB requests of a 100-byte file, as a
+   plain [Read] and as a shard's [Shard_read]. *)
+let test_reads_allocate_only_bytes_read () =
+  let len = 4 lsl 20 in
+  let measure what f =
+    let before = Gc.allocated_bytes () in
+    let n = f () in
+    let used = Gc.allocated_bytes () -. before in
+    Alcotest.(check int) (what ^ " returns the file") 100 n;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s allocated %.0f bytes" what used)
+      true (used < 1048576.)
+  in
+  let _, _, server, net = mk () in
+  let c = mk_client server net 9L in
+  Client.write_file c "/small" (Bytes.make 100 's');
+  let fd = Client.c_open c "/small" Fs.Rdonly in
+  let buf = Bytes.create len in
+  measure "Read" (fun () -> Client.c_read c fd buf len);
+  Client.c_close c fd;
+  let clock = Simclock.Clock.create () in
+  let rng = Simclock.Rng.create 9L in
+  let cluster =
+    Remote.Cluster.create ~clock ~net:(Netsim.create ~clock Netsim.tcp_1993) ~rng ()
+  in
+  let conn = Remote.Cluster.connect cluster ~rng:(Simclock.Rng.split rng) () in
+  let coord = Remote.Cluster.coord conn in
+  Client.c_close coord (Client.c_creat coord "/small");
+  let oid = (Client.c_stat coord "/small").Invfs.Fileatt.file in
+  ignore (Remote.Cluster.shard_write conn ~oid ~off:0L ~data:(String.make 100 's') : int);
+  measure "Shard_read" (fun () ->
+      String.length (Remote.Cluster.shard_read conn ~oid ~off:0L ~len))
 
 (* ---- session death mid-transaction: clean abort, no partial writes ---- *)
 
@@ -1012,22 +1045,6 @@ let test_remote_vacuum_step_rpc () =
     (Bytes.to_string (Client.read_whole_file c "/f"));
   let r = Invfs.Fsck.audit fs in
   Alcotest.(check bool) "audit clean after wire-driven vacuum" true (Invfs.Fsck.is_clean r)
-
-let test_background_vacuum_timer () =
-  let clock, _, server, net = mk ~vacuum_every_s:5. () in
-  let c = mk_client server net 64L in
-  Client.write_file c "/f" (Bytes.of_string "v1");
-  Client.write_file c "/f" (Bytes.of_string "v2");
-  Alcotest.(check int) "timer has not fired yet" 0 (Server.vacuum_steps server);
-  (* idle pumps across the timer period run budgeted increments without
-     any client asking for them *)
-  for _ = 1 to 8 do
-    Simclock.Clock.advance clock 6.;
-    Server.pump server
-  done;
-  Alcotest.(check bool) "background increments ran" true (Server.vacuum_steps server > 0);
-  Alcotest.(check string) "foreground state untouched" "v2"
-    (Bytes.to_string (Client.read_whole_file c "/f"))
 
 (* ---- close-behind ---- *)
 
@@ -1659,6 +1676,8 @@ let () =
             test_lost_commit_reply_retries_replay;
           Alcotest.test_case "corrupt frame retried" `Quick test_corrupt_frame_retried;
           Alcotest.test_case "partition heals" `Quick test_partition_heals;
+          Alcotest.test_case "reads allocate only the bytes read" `Quick
+            test_reads_allocate_only_bytes_read;
         ] );
       ( "sessions",
         [
@@ -1704,8 +1723,6 @@ let () =
             test_remote_snapshot_and_clone;
           Alcotest.test_case "write_many is atomic" `Quick test_write_many_atomic;
           Alcotest.test_case "vacuum step RPC" `Quick test_remote_vacuum_step_rpc;
-          Alcotest.test_case "background vacuum timer" `Quick
-            test_background_vacuum_timer;
         ] );
       ( "group commit",
         [
